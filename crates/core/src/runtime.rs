@@ -16,7 +16,6 @@
 //!   `getNextCoalescedCall`, at the cost of extra coalescing-table memory
 //!   traffic in the RT unit.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use vksim_bvh::traversal::{self, TraversalConfig};
 use vksim_bvh::{Blas, NodeKind, ProceduralHit, Tlas, TraceEvent};
@@ -27,6 +26,7 @@ use vksim_isa::RtError;
 use vksim_math::{Ray, Vec3};
 use vksim_rtunit::{OpKind, Step, SHORT_STACK_ENTRIES};
 use vksim_snapshot::{Dec, Enc, SnapError};
+use vksim_stats::FxHashMap;
 use vksim_trace::TraversalAnalytics;
 
 /// Vulkan ray flag bit 0: terminate on first hit (shadow rays).
@@ -138,9 +138,9 @@ pub struct RtRuntime {
     blases: Arc<Vec<Blas>>,
     launch: [u32; 3],
     fcc: bool,
-    frames: HashMap<usize, Vec<Frame>>,
-    scripts: HashMap<usize, Vec<Step>>,
-    fcc_tables: HashMap<(usize, usize), Vec<FccRow>>,
+    frames: FxHashMap<usize, Vec<Frame>>,
+    scripts: FxHashMap<usize, Vec<Step>>,
+    fcc_tables: FxHashMap<(usize, usize), Vec<FccRow>>,
     alloc_cursor: u64,
     /// Accumulated functional statistics.
     pub stats: RuntimeStats,
@@ -158,9 +158,9 @@ impl RtRuntime {
             blases: Arc::new(blases),
             launch,
             fcc,
-            frames: HashMap::new(),
-            scripts: HashMap::new(),
-            fcc_tables: HashMap::new(),
+            frames: FxHashMap::default(),
+            scripts: FxHashMap::default(),
+            fcc_tables: FxHashMap::default(),
             alloc_cursor: SHARD_ALLOC_BASE,
             stats: RuntimeStats::default(),
             analytics: None,
@@ -197,9 +197,9 @@ impl RtRuntime {
             blases: Arc::clone(&self.blases),
             launch: self.launch,
             fcc: self.fcc,
-            frames: HashMap::new(),
-            scripts: HashMap::new(),
-            fcc_tables: HashMap::new(),
+            frames: FxHashMap::default(),
+            scripts: FxHashMap::default(),
+            fcc_tables: FxHashMap::default(),
             alloc_cursor: SHARD_ALLOC_BASE + sm as u64 * SHARD_ALLOC_REGION,
             stats: RuntimeStats::default(),
             analytics: self
@@ -412,7 +412,7 @@ impl RtRuntime {
     ///
     /// Returns [`SnapError`] on a truncated or malformed payload.
     pub fn restore_state(&mut self, d: &mut Dec<'_>) -> Result<(), SnapError> {
-        let mut frames = HashMap::new();
+        let mut frames = FxHashMap::default();
         for _ in 0..d.seq()? {
             let tid = d.usize()?;
             let n = d.seq()?;
@@ -422,7 +422,7 @@ impl RtRuntime {
             }
             frames.insert(tid, stack);
         }
-        let mut scripts = HashMap::new();
+        let mut scripts = FxHashMap::default();
         for _ in 0..d.seq()? {
             let tid = d.usize()?;
             let n = d.seq()?;
@@ -432,7 +432,7 @@ impl RtRuntime {
             }
             scripts.insert(tid, steps);
         }
-        let mut fcc_tables = HashMap::new();
+        let mut fcc_tables = FxHashMap::default();
         for _ in 0..d.seq()? {
             let key = (d.usize()?, d.usize()?);
             let n = d.seq()?;

@@ -18,9 +18,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 use vksim_fault::{panic_detail, HangClass, SimError};
 use vksim_isa::{OverlayMem, Program, SimMemory, WriteOverlay};
-use vksim_mem::{RequestQueue, SharedMemSystem};
+use vksim_mem::{RequestQueue, SharedMemSystem, SysCounter};
 use vksim_parallel::{chunk_range, DoneGuard, RoundBarrier, ShutdownGuard};
-use vksim_stats::{Counters, Histogram};
+use vksim_rtunit::RtCounter;
+use vksim_stats::{CounterSlot, Counters, Histogram};
 use vksim_trace::{
     Event, EventKind, IntervalSnapshot, ProfReport, RtSmAnalytics, TraceCollector, TraceReport,
     NO_WARP, NUM_CATEGORIES, NUM_RT_SERIES,
@@ -529,6 +530,7 @@ impl GpuSim {
         let mut last_progress = self.last_progress;
         let mut fault: Option<SimError> = None;
         let mut paused = false;
+        let mut completions = Vec::new();
         'cycles: while self.sms.iter().any(|s| !s.is_empty()) || !self.pending.is_empty() {
             self.cycle += 1;
             if self.cycle >= self.config.max_cycles {
@@ -538,9 +540,10 @@ impl GpuSim {
                 break;
             }
             // Backend completions routed to their SM.
-            let completions = self.shared.advance_to(self.cycle);
+            completions.clear();
+            self.shared.advance_into(self.cycle, &mut completions);
             let mut progress = !completions.is_empty();
-            for (id, at) in completions {
+            for &(id, at) in &completions {
                 let sm = (id >> 48) as usize;
                 debug_assert!(
                     sm < num,
@@ -673,6 +676,7 @@ impl GpuSim {
             .collect();
         let barrier = RoundBarrier::new(threads);
         let now_cycle = AtomicU64::new(cycle);
+        let mut completions = Vec::new();
 
         std::thread::scope(|s| {
             let _shutdown = ShutdownGuard::new(&barrier);
@@ -748,9 +752,10 @@ impl GpuSim {
                 // Backend completions routed to lane inboxes; each SM
                 // delivers its own inbox at the start of its tick, exactly
                 // as the serial engine routes before ticking.
-                let completions = self.shared.advance_to(cycle);
+                completions.clear();
+                self.shared.advance_into(cycle, &mut completions);
                 let mut progress = !completions.is_empty();
-                for (id, at) in completions {
+                for &(id, at) in &completions {
                     let sm = (id >> 48) as usize;
                     debug_assert!(
                         sm < lanes.len(),
@@ -1106,10 +1111,11 @@ impl GpuSim {
     /// a pause, or a restore); the conservation invariant
     /// `Σ categories == num_sms × cycles` holds exactly there.
     pub fn prof_report(&self) -> Option<ProfReport> {
-        let mut per_sm = Vec::with_capacity(self.sms.len());
-        for sm in &self.sms {
-            per_sm.push(sm.accounting()?.clone());
-        }
+        let per_sm = self
+            .sms
+            .iter()
+            .map(|sm| sm.accounting().cloned())
+            .collect::<Option<Vec<_>>>()?;
         Some(ProfReport {
             cycles: self.cycle,
             per_sm,
@@ -1139,7 +1145,7 @@ impl GpuSim {
         let rt_box_ops = self
             .sms
             .iter()
-            .map(|sm| sm.rt_unit.stats().counters.get("ops.box_tests"))
+            .map(|sm| sm.rt_unit.counters().get(RtCounter::OpsBoxTests))
             .sum();
         Some((per_sm, rt_box_ops))
     }
@@ -1197,10 +1203,10 @@ impl GpuSim {
         let mut rt_active_rays = 0;
         let mut rt_occupancy = Vec::new();
         for sm in &self.sms {
-            counters.merge(&sm.stats);
-            l1_stats.merge(&sm.l1().stats);
+            counters.extend(sm.stats.iter());
+            l1_stats.extend(sm.l1().stats.iter());
             if let Some(rtc) = sm.rtc() {
-                rtc_stats.merge(&rtc.stats);
+                rtc_stats.extend(rtc.stats.iter());
             }
             issued_insts += sm.issued_insts;
             issued_lanes += sm.issued_lanes;
@@ -1229,11 +1235,8 @@ impl GpuSim {
         }
         // Backpressure observability: only-when-nonzero, so unbounded
         // (depth 0) runs keep their historical golden key sets.
-        for key in ["icnt.refused", "dram.bank_full_retries"] {
-            let v = self.shared.stats.get(key);
-            if v > 0 {
-                counters.add(key, v);
-            }
+        for slot in [SysCounter::IcntRefused, SysCounter::DramBankFullRetries] {
+            counters.add(slot.name(), self.shared.stats.get(slot));
         }
         // Same convention: healthy, watchdog-off runs carry neither key.
         counters.add("gpu.watchdog_armed", self.config.effective_watchdog());
@@ -1266,7 +1269,7 @@ impl GpuSim {
             rt_chunks_fetched: self
                 .sms
                 .iter()
-                .map(|s| s.rt_unit.stats().counters.get("mem.issued"))
+                .map(|s| s.rt_unit.counters().get(RtCounter::MemIssued))
                 .sum(),
         }
     }

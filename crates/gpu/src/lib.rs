@@ -28,7 +28,7 @@ pub mod sm;
 pub use config::{DivergenceMode, GpuConfig};
 pub use gpu::{GpuFault, GpuSim, GpuStats, LaunchDims, RunOutcome};
 pub use simt::{CtxOutcome, Mask, SimtEngine, FULL_MASK};
-pub use sm::TickReport;
+pub use sm::{SmCounter, SmCounters, TickReport};
 pub use vksim_fault::{FaultPlan, HangClass, SimError, WorkerPanicSpec};
 
 /// Supplies the per-thread traversal scripts recorded by the functional

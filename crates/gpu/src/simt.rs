@@ -91,16 +91,12 @@ impl SimtStack {
         }
     }
 
-    fn contexts(&self) -> Vec<Ctx> {
-        if self.mask == 0 {
-            Vec::new()
-        } else {
-            vec![Ctx {
-                id: 0,
-                pc: self.pc,
-                mask: self.mask,
-            }]
-        }
+    fn context(&self) -> Option<Ctx> {
+        (self.mask != 0).then_some(Ctx {
+            id: 0,
+            pc: self.pc,
+            mask: self.mask,
+        })
     }
 
     fn apply(&mut self, outcome: CtxOutcome) -> ApplyInfo {
@@ -249,6 +245,16 @@ struct Split {
     joins: Vec<u32>,
 }
 
+impl Split {
+    fn ctx(&self) -> Ctx {
+        Ctx {
+            id: self.id,
+            pc: self.pc,
+            mask: self.mask,
+        }
+    }
+}
+
 /// ITS multipath engine: all warp splits are runnable; reconvergence is
 /// tracked in a join table.
 #[derive(Clone, Debug)]
@@ -272,17 +278,6 @@ impl Multipath {
             exited: 0,
             next_id: 1,
         }
-    }
-
-    fn contexts(&self) -> Vec<Ctx> {
-        self.splits
-            .iter()
-            .map(|s| Ctx {
-                id: s.id,
-                pc: s.pc,
-                mask: s.mask,
-            })
-            .collect()
     }
 
     fn split_index(&self, id: u32) -> Option<usize> {
@@ -493,11 +488,21 @@ impl SimtEngine {
         SimtEngine::Multipath(Multipath::new(mask))
     }
 
-    /// All currently runnable contexts (stack mode: at most one).
-    pub fn contexts(&self) -> Vec<Ctx> {
+    /// All currently runnable contexts (stack mode: at most one), in
+    /// scheduling order. Borrows the engine; nothing is allocated.
+    pub fn contexts(&self) -> impl Iterator<Item = Ctx> + '_ {
+        let (single, splits) = match self {
+            SimtEngine::Stack(s) => (s.context(), &[][..]),
+            SimtEngine::Multipath(m) => (None, &m.splits[..]),
+        };
+        single.into_iter().chain(splits.iter().map(Split::ctx))
+    }
+
+    /// The runnable context with id `ctx_id`, if any.
+    pub fn context(&self, ctx_id: u32) -> Option<Ctx> {
         match self {
-            SimtEngine::Stack(s) => s.contexts(),
-            SimtEngine::Multipath(m) => m.contexts(),
+            SimtEngine::Stack(s) => s.context().filter(|c| c.id == ctx_id),
+            SimtEngine::Multipath(m) => m.split_index(ctx_id).map(|i| m.splits[i].ctx()),
         }
     }
 
@@ -568,6 +573,10 @@ impl SimtEngine {
 mod tests {
     use super::*;
 
+    fn runnable(engine: &SimtEngine) -> Vec<Ctx> {
+        engine.contexts().collect()
+    }
+
     /// Drives an engine through an if/else pattern:
     /// ```text
     /// 0: ssy 5
@@ -584,7 +593,7 @@ mod tests {
         while !engine.done() {
             guard += 1;
             assert!(guard < 100, "engine did not converge");
-            let ctxs = engine.contexts();
+            let ctxs = runnable(engine);
             let Some(c) = ctxs.first().copied() else {
                 break;
             };
@@ -655,7 +664,7 @@ mod tests {
             while e.mid_divergence() {
                 guard += 1;
                 assert!(guard < 50);
-                let c = e.contexts()[0];
+                let c = runnable(&e)[0];
                 if c.pc == 4 {
                     e.apply(c.id, CtxOutcome::Sync);
                 } else {
@@ -668,7 +677,7 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(e.contexts()[0].mask, 0b1111);
+            assert_eq!(runnable(&e)[0].mask, 0b1111);
         }
     }
 
@@ -677,7 +686,7 @@ mod tests {
         let mut e = SimtEngine::stack(FULL_MASK);
         // pc0: ssy 3; pc1: branch all-taken to 3... then sync, exit.
         e.apply(0, CtxOutcome::Ssy { reconv: 3 });
-        let c = e.contexts()[0];
+        let c = runnable(&e)[0];
         assert_eq!(c.pc, 1);
         e.apply(
             0,
@@ -686,11 +695,11 @@ mod tests {
                 taken: FULL_MASK,
             },
         );
-        let c = e.contexts()[0];
+        let c = runnable(&e)[0];
         assert_eq!(c.pc, 3);
         assert_eq!(c.mask, FULL_MASK);
         e.apply(0, CtxOutcome::Sync);
-        assert_eq!(e.contexts()[0].pc, 4);
+        assert_eq!(runnable(&e)[0].pc, 4);
         e.apply(0, CtxOutcome::Exit);
         assert!(e.done());
     }
@@ -716,7 +725,7 @@ mod tests {
             while !e.done() && reconverged == 0 {
                 guard += 1;
                 assert!(guard < 50);
-                let c = e.contexts()[0];
+                let c = runnable(&e)[0];
                 let info = match c.pc {
                     4 => e.apply(c.id, CtxOutcome::Sync),
                     _ => e.apply(
@@ -736,7 +745,7 @@ mod tests {
                 }
             }
             assert_eq!(reconverged, 1);
-            assert_eq!(e.contexts()[0].mask, 0b1111);
+            assert_eq!(runnable(&e)[0].mask, 0b1111);
         }
     }
 
@@ -754,7 +763,7 @@ mod tests {
             },
         );
         // Current = fall-through lanes 2,3 at pc 2.
-        let c = e.contexts()[0];
+        let c = runnable(&e)[0];
         assert_eq!((c.pc, c.mask), (2, 0b1100));
         // They run to the sync.
         e.apply(
@@ -765,11 +774,11 @@ mod tests {
             },
         );
         e.apply(0, CtxOutcome::Sync); // pops the split (lanes 0,1 at pc 5)
-        let c = e.contexts()[0];
+        let c = runnable(&e)[0];
         assert_eq!((c.pc, c.mask), (5, 0b0011));
         e.apply(0, CtxOutcome::Exit); // those lanes exit
                                       // Unwind pops the join; remaining lanes resume after the sync.
-        let c = e.contexts()[0];
+        let c = runnable(&e)[0];
         assert_eq!((c.pc, c.mask), (11, 0b1100));
         e.apply(0, CtxOutcome::Exit);
         assert!(e.done());
@@ -798,7 +807,7 @@ mod tests {
                 taken: 0xFFFF,
             },
         );
-        let ctxs = e.contexts();
+        let ctxs = runnable(&e);
         assert_eq!(ctxs.len(), 2, "ITS: both sides schedulable");
         let masks: Mask = ctxs.iter().map(|c| c.mask).sum();
         assert_eq!(masks, FULL_MASK);
@@ -812,7 +821,7 @@ mod tests {
                 taken: 0xFFFF,
             },
         );
-        assert_eq!(s.contexts().len(), 1);
+        assert_eq!(runnable(&s).len(), 1);
     }
 
     #[test]
@@ -826,7 +835,7 @@ mod tests {
                 taken: 0b01,
             },
         );
-        let ctxs = e.contexts();
+        let ctxs = runnable(&e);
         assert_eq!(ctxs.len(), 2);
         // First split syncs: join not yet complete.
         let first = ctxs[0];
@@ -834,18 +843,18 @@ mod tests {
         let mut c = first;
         while c.pc != 4 {
             e.apply(c.id, CtxOutcome::Fallthrough);
-            c = *e.contexts().iter().find(|x| x.id == c.id).unwrap();
+            c = *runnable(&e).iter().find(|x| x.id == c.id).unwrap();
         }
         e.apply(c.id, CtxOutcome::Sync);
-        assert_eq!(e.contexts().len(), 1, "other split still running");
+        assert_eq!(runnable(&e).len(), 1, "other split still running");
         // Second split arrives.
-        let mut c = e.contexts()[0];
+        let mut c = runnable(&e)[0];
         while c.pc != 4 {
             e.apply(c.id, CtxOutcome::Fallthrough);
-            c = *e.contexts().iter().find(|x| x.id == c.id).unwrap();
+            c = *runnable(&e).iter().find(|x| x.id == c.id).unwrap();
         }
         e.apply(c.id, CtxOutcome::Sync);
-        let merged = e.contexts();
+        let merged = runnable(&e);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].mask, 0b11);
         assert_eq!(merged[0].pc, 5);
@@ -863,17 +872,17 @@ mod tests {
             },
         );
         // Taken split exits instead of syncing.
-        let taken = *e.contexts().iter().find(|c| c.mask == 0b01).unwrap();
+        let taken = *runnable(&e).iter().find(|c| c.mask == 0b01).unwrap();
         e.apply(taken.id, CtxOutcome::Exit);
         // The other split syncs; join must complete with just its lanes.
-        let other = *e.contexts().iter().find(|c| c.mask == 0b10).unwrap();
+        let other = *runnable(&e).iter().find(|c| c.mask == 0b10).unwrap();
         let mut c = other;
         while c.pc != 4 {
             e.apply(c.id, CtxOutcome::Fallthrough);
-            c = *e.contexts().iter().find(|x| x.id == c.id).unwrap();
+            c = *runnable(&e).iter().find(|x| x.id == c.id).unwrap();
         }
         e.apply(c.id, CtxOutcome::Sync);
-        let merged = e.contexts();
+        let merged = runnable(&e);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].mask, 0b10);
         e.apply(merged[0].id, CtxOutcome::Exit);
@@ -893,7 +902,7 @@ mod tests {
             },
         );
         // Current: lanes 0,1 at pc 2 (fall-through).
-        assert_eq!(e.contexts()[0].mask, 0b0011);
+        assert_eq!(runnable(&e)[0].mask, 0b0011);
         e.apply(0, CtxOutcome::Ssy { reconv: 8 }); // inner join at 8
         e.apply(
             0,
@@ -902,7 +911,7 @@ mod tests {
                 taken: 0b0001,
             },
         );
-        assert_eq!(e.contexts()[0].mask, 0b0010);
+        assert_eq!(runnable(&e)[0].mask, 0b0010);
         // Fall-through lane reaches inner sync.
         e.apply(
             0,
@@ -912,7 +921,7 @@ mod tests {
             },
         );
         e.apply(0, CtxOutcome::Sync); // pops inner split (lane 0 at 6)
-        assert_eq!((e.contexts()[0].pc, e.contexts()[0].mask), (6, 0b0001));
+        assert_eq!((runnable(&e)[0].pc, runnable(&e)[0].mask), (6, 0b0001));
         e.apply(
             0,
             CtxOutcome::Branch {
@@ -921,7 +930,7 @@ mod tests {
             },
         );
         e.apply(0, CtxOutcome::Sync); // pops inner join -> lanes 0,1 at 9
-        assert_eq!((e.contexts()[0].pc, e.contexts()[0].mask), (9, 0b0011));
+        assert_eq!((runnable(&e)[0].pc, runnable(&e)[0].mask), (9, 0b0011));
         // They run to outer sync at 20.
         e.apply(
             0,
@@ -931,7 +940,7 @@ mod tests {
             },
         );
         e.apply(0, CtxOutcome::Sync); // pops outer split (lanes 2,3 at 10)
-        assert_eq!((e.contexts()[0].pc, e.contexts()[0].mask), (10, 0b1100));
+        assert_eq!((runnable(&e)[0].pc, runnable(&e)[0].mask), (10, 0b1100));
         e.apply(
             0,
             CtxOutcome::Branch {
@@ -940,7 +949,7 @@ mod tests {
             },
         );
         e.apply(0, CtxOutcome::Sync); // pops outer join -> all lanes at 21
-        assert_eq!((e.contexts()[0].pc, e.contexts()[0].mask), (21, 0b1111));
+        assert_eq!((runnable(&e)[0].pc, runnable(&e)[0].mask), (21, 0b1111));
     }
 
     #[test]
@@ -953,10 +962,10 @@ mod tests {
         loop {
             iterations += 1;
             assert!(iterations < 20);
-            let c = e.contexts()[0];
+            let c = runnable(&e)[0];
             if c.pc == 9 {
                 e.apply(0, CtxOutcome::Sync);
-                let c2 = e.contexts();
+                let c2 = runnable(&e);
                 if c2.is_empty() || c2[0].pc == 10 {
                     break;
                 }
@@ -974,7 +983,7 @@ mod tests {
                     taken: leaving,
                 },
             );
-            let c = e.contexts();
+            let c = runnable(&e);
             if c.is_empty() {
                 break;
             }
@@ -991,7 +1000,7 @@ mod tests {
                 },
             );
         }
-        let c = e.contexts();
+        let c = runnable(&e);
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].mask, 0b111, "all lanes reconverged after the loop");
         assert_eq!(c[0].pc, 10);
@@ -1082,7 +1091,7 @@ mod tests {
                 if steps > 10_000 {
                     return Err("engine did not terminate within 10k steps".into());
                 }
-                let ctxs = engine.contexts();
+                let ctxs = runnable(&engine);
                 if ctxs.is_empty() {
                     return Err("no runnable context but engine not done".into());
                 }

@@ -10,19 +10,61 @@
 use crate::config::{DivergenceMode, GpuConfig};
 use crate::simt::{CtxOutcome, Mask, SimtEngine};
 use crate::{ScriptSource, WARP_SIZE};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use vksim_fault::SimError;
 use vksim_isa::interp::{exec_at, Effect, RtHooks, ThreadState};
-use vksim_isa::op::MemSpace;
+use vksim_isa::op::{InstClass, MemSpace};
 use vksim_isa::{MemIo, Program};
-use vksim_mem::{
-    chunk_addresses, partition_of, AccessKind, Cache, CacheOutcome, MemRequest, MemSink,
-};
-use vksim_rtunit::{RtMem, RtMemResult, RtUnit, RtUnitEventKind, WarpJob};
-use vksim_stats::Counters;
+use vksim_mem::{chunks, partition_of, AccessKind, Cache, CacheOutcome, MemRequest, MemSink};
+use vksim_rtunit::{RtMem, RtMemResult, RtUnit, RtUnitEventKind, WarpDone, WarpJob};
+use vksim_stats::FxHashMap;
 use vksim_trace::{
     CycleAccounting, CycleCategory, EventKind, SmTracer, TraceConfig, WarpCoherence, NO_WARP,
 };
+
+vksim_stats::counter_slots! {
+    /// Per-SM counters: the issued instruction mix and issue-stage events.
+    pub enum SmCounter => SmCounters {
+        /// Branches whose active lanes went both ways.
+        DivergentBranches = "divergent_branches",
+        /// Issued ALU instructions.
+        InstAlu = "inst.Alu",
+        /// Issued control-flow instructions.
+        InstCtrl = "inst.Ctrl",
+        /// Issued exits.
+        InstExit = "inst.Exit",
+        /// Issued loads and stores.
+        InstMem = "inst.Mem",
+        /// Issued ray-tracing instructions.
+        InstRt = "inst.Rt",
+        /// Issued special-function instructions.
+        InstSfu = "inst.Sfu",
+        /// Unique 32 B chunks of coalesced memory instructions.
+        MemCoalescedChunks = "mem.coalesced_chunks",
+        /// Warp-buffer admissions that found no capacity after all.
+        RtEnqueueRace = "rt.enqueue_race",
+        /// `traverseAS` issues that found the warp buffer full.
+        RtEnqueueStall = "rt.enqueue_stall",
+        /// `traverseAS` warp issues.
+        RtTraceWarps = "rt.trace_warps",
+        /// Cycles the issue stage was held by interconnect backpressure.
+        SmIcntStallCycles = "sm.icnt_stall_cycles",
+    }
+}
+
+impl SmCounter {
+    /// The `inst.<class>` slot of an instruction class.
+    fn inst(class: InstClass) -> Self {
+        match class {
+            InstClass::Alu => SmCounter::InstAlu,
+            InstClass::Sfu => SmCounter::InstSfu,
+            InstClass::Mem => SmCounter::InstMem,
+            InstClass::Ctrl => SmCounter::InstCtrl,
+            InstClass::Rt => SmCounter::InstRt,
+            InstClass::Exit => SmCounter::InstExit,
+        }
+    }
+}
 
 /// Hooks the GPU needs from the simulator core: the RT functional runtime
 /// plus the recorded traversal scripts.
@@ -125,7 +167,10 @@ pub struct Warp {
     pub base_tid: usize,
     threads: Vec<ThreadState>,
     engine: SimtEngine,
-    ctx_state: HashMap<u32, CtxState>,
+    /// Scheduling state per SIMT context, sorted by ctx id. Every walk over
+    /// it (RT admission, chunk retries) therefore visits contexts in id
+    /// order; a context never seen here is `Ready`.
+    ctx_state: Vec<(u32, CtxState)>,
 }
 
 impl Warp {
@@ -154,16 +199,44 @@ impl Warp {
             base_tid,
             threads,
             engine,
-            ctx_state: HashMap::new(),
+            ctx_state: Vec::new(),
+        }
+    }
+
+    /// The state of context `ctx`, if it was ever touched.
+    fn ctx(&self, ctx: u32) -> Option<&CtxState> {
+        self.ctx_state
+            .binary_search_by_key(&ctx, |&(id, _)| id)
+            .ok()
+            .map(|i| &self.ctx_state[i].1)
+    }
+
+    /// The state of context `ctx`, created `Ready` on first touch.
+    fn ctx_mut(&mut self, ctx: u32) -> &mut CtxState {
+        let i = match self.ctx_state.binary_search_by_key(&ctx, |&(id, _)| id) {
+            Ok(i) => i,
+            Err(i) => {
+                self.ctx_state.insert(i, (ctx, CtxState::default()));
+                i
+            }
+        };
+        &mut self.ctx_state[i].1
+    }
+
+    /// `true` when context `ctx` may issue at `now`.
+    fn ctx_issuable(&self, ctx: u32, now: u64) -> bool {
+        match self.ctx(ctx).map(|s| &s.status) {
+            None | Some(CtxStatus::Ready) => true,
+            Some(CtxStatus::OpUntil(t)) => *t <= now,
+            _ => false,
         }
     }
 
     fn done(&self) -> bool {
         self.engine.done()
-            && self
-                .ctx_state
-                .values()
-                .all(|c| c.status == CtxStatus::Ready || matches!(c.status, CtxStatus::OpUntil(_)))
+            && self.ctx_state.iter().all(|(_, c)| {
+                c.status == CtxStatus::Ready || matches!(c.status, CtxStatus::OpUntil(_))
+            })
     }
 
     fn save(&self, e: &mut vksim_snapshot::Enc) {
@@ -174,12 +247,9 @@ impl Warp {
             t.save(e);
         }
         self.engine.save(e);
-        // HashMap: sorted by ctx id for a deterministic encoding.
-        let mut ctxs: Vec<(&u32, &CtxState)> = self.ctx_state.iter().collect();
-        ctxs.sort_by_key(|(&id, _)| id);
-        e.seq(ctxs.len());
-        for (&id, st) in ctxs {
-            e.u32(id);
+        e.seq(self.ctx_state.len());
+        for (id, st) in &self.ctx_state {
+            e.u32(*id);
             st.save(e);
         }
     }
@@ -193,18 +263,48 @@ impl Warp {
             threads.push(ThreadState::load(d)?);
         }
         let engine = SimtEngine::load(d)?;
-        let mut ctx_state = HashMap::new();
-        for _ in 0..d.seq()? {
-            let ctx = d.u32()?;
-            ctx_state.insert(ctx, CtxState::load(d)?);
-        }
-        Ok(Warp {
+        let mut warp = Warp {
             id,
             base_tid,
             threads,
             engine,
-            ctx_state,
-        })
+            ctx_state: Vec::new(),
+        };
+        for _ in 0..d.seq()? {
+            let ctx = d.u32()?;
+            *warp.ctx_mut(ctx) = CtxState::load(d)?;
+        }
+        Ok(warp)
+    }
+}
+
+/// Who waits on each in-flight L1 / RT-cache line, in arrival order (the
+/// wake-up order is load-bearing). Up to [`LineWaiters::SPARE`] emptied
+/// lists are kept for reuse: enough to absorb the per-cycle churn without
+/// holding a high-water mark of lists for the rest of the run.
+#[derive(Default)]
+struct LineWaiters {
+    lines: FxHashMap<(CacheSel, u64), Vec<Waiter>>,
+    spare: Vec<Vec<Waiter>>,
+}
+
+impl LineWaiters {
+    const SPARE: usize = 8;
+
+    fn push(&mut self, key: (CacheSel, u64), waiter: Waiter) {
+        let spare = &mut self.spare;
+        self.lines
+            .entry(key)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(waiter);
+    }
+
+    /// Hand a list returned by `lines.remove` back for reuse.
+    fn recycle(&mut self, mut waiters: Vec<Waiter>) {
+        if self.spare.len() < Self::SPARE {
+            waiters.clear();
+            self.spare.push(waiters);
+        }
     }
 }
 
@@ -282,6 +382,24 @@ pub struct TickReport {
     pub progress: bool,
 }
 
+/// Buffers the tick reuses every cycle so the steady state does not
+/// allocate. Empty between ticks; never saved.
+#[derive(Default)]
+struct Scratch {
+    /// `(lane, effect)` of every active lane of the issuing instruction.
+    lane_effects: Vec<(usize, Effect)>,
+    /// Unique chunks of a coalesced memory instruction.
+    chunks: Vec<u64>,
+    /// Chunks of the issuing load refused by a full L1 MSHR.
+    refused: Vec<u64>,
+    /// RT-pending contexts admitted to the warp buffer this cycle.
+    enqueues: Vec<(u32, u32, WarpJob)>,
+    /// `(warp, ctx, chunk)` L1 retries replayed this cycle.
+    retries: Vec<(u32, u32, u64)>,
+    /// Warps the RT unit finished this cycle.
+    rt_done: Vec<WarpDone>,
+}
+
 /// The per-SM state.
 pub struct Sm {
     /// SM index within the GPU.
@@ -291,10 +409,10 @@ pub struct Sm {
     rtc: Option<Cache>,
     /// The SM's ray-tracing accelerator.
     pub rt_unit: RtUnit,
-    waiting_lines: HashMap<(CacheSel, u64), Vec<Waiter>>,
-    inflight: HashMap<u64, (CacheSel, u64)>, // req id -> (cache, line)
+    waiting_lines: LineWaiters,
+    inflight: FxHashMap<u64, (CacheSel, u64)>, // req id -> (cache, line)
     next_rt_job: u32,
-    rt_job_map: HashMap<u32, (u32, u32)>, // job id -> (warp id, ctx id)
+    rt_job_map: FxHashMap<u32, (u32, u32)>, // job id -> (warp id, ctx id)
     last_warp: Option<u32>,
     /// Fault injection: never schedule this warp id (crafts a livelock).
     stall_warp: Option<u32>,
@@ -305,7 +423,7 @@ pub struct Sm {
     num_partitions: u32,
     next_req: u64,
     /// Per-SM counters (instruction mix, issue stats).
-    pub stats: Counters,
+    pub stats: SmCounters,
     /// Sum of active lanes over issued instructions (SIMT efficiency).
     pub issued_lanes: u64,
     /// Number of issued instructions.
@@ -321,6 +439,7 @@ pub struct Sm {
     // Warp traversal-coherence recorder (rt analytics); same
     // branch-on-null discipline.
     rt_analytics: Option<Box<WarpCoherence>>,
+    scratch: Scratch,
 }
 
 impl Sm {
@@ -332,10 +451,10 @@ impl Sm {
             l1: Cache::new(config.l1.clone()),
             rtc: config.rt_cache.clone().map(Cache::new),
             rt_unit: RtUnit::new(config.rt_unit.clone()),
-            waiting_lines: HashMap::new(),
-            inflight: HashMap::new(),
+            waiting_lines: LineWaiters::default(),
+            inflight: FxHashMap::default(),
             next_rt_job: 0,
-            rt_job_map: HashMap::new(),
+            rt_job_map: FxHashMap::default(),
             last_warp: None,
             stall_warp: config.fault_plan.stall_warp,
             perfect_bvh: config.perfect_bvh,
@@ -343,13 +462,14 @@ impl Sm {
             divergence: config.divergence,
             num_partitions: config.mem.num_partitions.max(1),
             next_req: 0,
-            stats: Counters::new(),
+            stats: SmCounters::new(),
             issued_lanes: 0,
             issued_insts: 0,
             trace_cycles: 0,
             tracer: None,
             accounting: None,
             rt_analytics: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -452,12 +572,12 @@ impl Sm {
                 }
             }
         }
-        if let Some(waiters) = self.waiting_lines.remove(&(sel, line)) {
-            for w in waiters {
+        if let Some(waiters) = self.waiting_lines.lines.remove(&(sel, line)) {
+            for &w in &waiters {
                 match w {
                     Waiter::WarpCtx { warp, ctx } => {
                         if let Some(wp) = self.warps.iter_mut().find(|w| w.id == warp) {
-                            let st = wp.ctx_state.entry(ctx).or_default();
+                            let st = wp.ctx_mut(ctx);
                             if let CtxStatus::WaitMem { outstanding } = &mut st.status {
                                 *outstanding = outstanding.saturating_sub(1);
                                 if *outstanding == 0 && st.retry_chunks.is_empty() {
@@ -474,6 +594,7 @@ impl Sm {
                     }
                 }
             }
+            self.waiting_lines.recycle(waiters);
         }
     }
 
@@ -493,6 +614,22 @@ impl Sm {
         sink: &mut dyn MemSink,
         hooks: &mut dyn GpuHooks,
     ) -> Result<TickReport, Box<SimError>> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let report = self.tick_with(&mut scratch, now, program, mem, sink, hooks);
+        self.scratch = scratch;
+        report
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn tick_with(
+        &mut self,
+        scratch: &mut Scratch,
+        now: u64,
+        program: &Program,
+        mem: &mut dyn MemIo,
+        sink: &mut dyn MemSink,
+        hooks: &mut dyn GpuHooks,
+    ) -> Result<TickReport, Box<SimError>> {
         // Interconnect backpressure: leftovers in the SM's request queue
         // after the previous phase-B drain mean the bounded interconnect
         // refused them. Sampled once at tick start — before this cycle's
@@ -500,7 +637,7 @@ impl Sm {
         // and parallel engines.
         let icnt_blocked = sink.backlogged();
         if icnt_blocked {
-            self.stats.inc("sm.icnt_stall_cycles");
+            self.stats.inc(SmCounter::SmIcntStallCycles);
         }
         if let Some(tr) = self.tracer.as_mut() {
             tr.icnt_stall_edge(now, icnt_blocked);
@@ -518,10 +655,10 @@ impl Sm {
             .then(|| self.classify_stall(now, icnt_blocked));
 
         // 1. RT unit cycle.
-        let rt_finished = self.tick_rt_unit(now, sink);
+        let rt_finished = self.tick_rt_unit(&mut scratch.rt_done, now, sink);
 
         // 2. Retry stalled RT enqueues and memory-chunk retries.
-        self.retry_stalled(now, sink);
+        self.retry_stalled(scratch, now, sink);
 
         // 3. Issue one instruction from one warp context (GTO) — held
         // while the interconnect is backpressuring this SM, so the warp
@@ -529,7 +666,7 @@ impl Sm {
         let mut issued = false;
         if !icnt_blocked {
             if let Some((warp_idx, ctx_id)) = self.pick(now) {
-                self.issue(warp_idx, ctx_id, now, program, mem, sink, hooks)?;
+                self.issue(scratch, warp_idx, ctx_id, now, program, mem, sink, hooks)?;
                 issued = true;
             }
         }
@@ -563,7 +700,7 @@ impl Sm {
         })
     }
 
-    fn tick_rt_unit(&mut self, now: u64, sink: &mut dyn MemSink) -> bool {
+    fn tick_rt_unit(&mut self, done: &mut Vec<WarpDone>, now: u64, sink: &mut dyn MemSink) -> bool {
         let mut port = SmRtPort {
             l1: &mut self.l1,
             rtc: self.rtc.as_mut(),
@@ -576,7 +713,7 @@ impl Sm {
             num_partitions: self.num_partitions,
             tracer: self.tracer.as_deref_mut(),
         };
-        let done = self.rt_unit.tick(now, &mut port);
+        self.rt_unit.tick_into(now, &mut port, done);
         let finished = !done.is_empty();
         // Translate the RT unit's job-keyed events into warp-keyed trace
         // events *before* done jobs drop out of the map below.
@@ -593,26 +730,26 @@ impl Sm {
                 }
             }
         }
-        for d in done {
+        for d in done.drain(..) {
             if let Some((warp, ctx)) = self.rt_job_map.remove(&d.warp_id) {
                 if let Some(w) = self.warps.iter_mut().find(|w| w.id == warp) {
-                    w.ctx_state.entry(ctx).or_default().status = CtxStatus::Ready;
+                    w.ctx_mut(ctx).status = CtxStatus::Ready;
                 }
             }
         }
         finished
     }
 
-    fn retry_stalled(&mut self, now: u64, sink: &mut dyn MemSink) {
-        // RT warp-buffer retries: admit stalled jobs while capacity lasts.
+    fn retry_stalled(&mut self, scratch: &mut Scratch, now: u64, sink: &mut dyn MemSink) {
+        // RT warp-buffer retries: admit stalled jobs while capacity lasts,
+        // oldest warp first and, within a warp, lowest ctx id first.
         let mut slots = self
             .rt_unit
             .config()
             .max_warps
             .saturating_sub(self.rt_unit.resident_warps());
-        let mut enqueues: Vec<(u32, u32, WarpJob)> = Vec::new();
         'outer: for w in &mut self.warps {
-            for (&ctx, st) in w.ctx_state.iter_mut() {
+            for (ctx, st) in w.ctx_state.iter_mut() {
                 if slots == 0 {
                     break 'outer;
                 }
@@ -620,31 +757,30 @@ impl Sm {
                     let job = st.pending_rt_job.take().expect("checked");
                     st.status = CtxStatus::InRt;
                     slots -= 1;
-                    enqueues.push((w.id, ctx, job));
+                    scratch.enqueues.push((w.id, *ctx, job));
                 }
             }
         }
-        for (warp, ctx, job) in enqueues {
+        for (warp, ctx, job) in scratch.enqueues.drain(..) {
             let job_id = job.warp_id;
             if self.rt_unit.try_enqueue(job, now) {
                 self.rt_job_map.insert(job_id, (warp, ctx));
             } else {
                 // Capacity raced away (shouldn't in a single-threaded
                 // model); count it and leave the ctx stuck for diagnosis.
-                self.stats.inc("rt.enqueue_race");
+                self.stats.inc(SmCounter::RtEnqueueRace);
             }
         }
 
         // Memory chunk retries (L1 MSHR was full).
-        let mut retries: Vec<(u32, u32, u64)> = Vec::new();
         for w in &self.warps {
-            for (&ctx, st) in &w.ctx_state {
+            for (ctx, st) in &w.ctx_state {
                 for &chunk in &st.retry_chunks {
-                    retries.push((w.id, ctx, chunk));
+                    scratch.retries.push((w.id, *ctx, chunk));
                 }
             }
         }
-        for (warp, ctx, chunk) in retries {
+        for (warp, ctx, chunk) in scratch.retries.drain(..) {
             let outcome = self.l1.access(chunk, AccessKind::ShaderLoad, now);
             let line = self.l1.line_of(chunk);
             let resolved = match outcome {
@@ -672,13 +808,10 @@ impl Sm {
             };
             let Some(waiter) = resolved else { continue };
             if let Some(wtr) = waiter {
-                self.waiting_lines
-                    .entry((CacheSel::L1, line))
-                    .or_default()
-                    .push(wtr);
+                self.waiting_lines.push((CacheSel::L1, line), wtr);
             }
             if let Some(w) = self.warps.iter_mut().find(|w| w.id == warp) {
-                let st = w.ctx_state.entry(ctx).or_default();
+                let st = w.ctx_mut(ctx);
                 st.retry_chunks.retain(|&c| c != chunk);
                 match (&mut st.status, waiter.is_some()) {
                     (CtxStatus::WaitMem { outstanding }, true) => {
@@ -716,17 +849,10 @@ impl Sm {
         let mut any_rt = false;
         let mut any_simt = false;
         for w in &self.warps {
-            let issuable = w.engine.contexts().iter().any(|c| {
-                match w.ctx_state.get(&c.id).map(|s| &s.status) {
-                    None | Some(CtxStatus::Ready) => true,
-                    Some(CtxStatus::OpUntil(t)) => *t <= now,
-                    _ => false,
-                }
-            });
-            if issuable {
+            if w.engine.contexts().any(|c| w.ctx_issuable(c.id, now)) {
                 eligible += 1;
             }
-            for st in w.ctx_state.values() {
+            for (_, st) in &w.ctx_state {
                 match st.status {
                     CtxStatus::WaitMem { .. } => any_mem = true,
                     CtxStatus::RtPending | CtxStatus::InRt => any_rt = true,
@@ -758,15 +884,7 @@ impl Sm {
         let issuable_ctx = |w: &Warp| -> Option<u32> {
             w.engine
                 .contexts()
-                .iter()
-                .filter(|c| {
-                    let st = w.ctx_state.get(&c.id);
-                    match st.map(|s| &s.status) {
-                        None | Some(CtxStatus::Ready) => true,
-                        Some(CtxStatus::OpUntil(t)) => *t <= now,
-                        _ => false,
-                    }
-                })
+                .filter(|c| w.ctx_issuable(c.id, now))
                 .map(|c| c.id)
                 .min()
         };
@@ -797,16 +915,9 @@ impl Sm {
     /// watchdog to tell a scheduler livelock (schedulable work exists but
     /// nothing issues) from blocked-on-memory states.
     pub fn has_issuable_ctx(&self, now: u64) -> bool {
-        self.warps.iter().any(|w| {
-            w.engine.contexts().iter().any(|c| {
-                let st = w.ctx_state.get(&c.id);
-                match st.map(|s| &s.status) {
-                    None | Some(CtxStatus::Ready) => true,
-                    Some(CtxStatus::OpUntil(t)) => *t <= now,
-                    _ => false,
-                }
-            })
-        })
+        self.warps
+            .iter()
+            .any(|w| w.engine.contexts().any(|c| w.ctx_issuable(c.id, now)))
     }
 
     /// Records this SM's scheduler and memory state into a flat post-mortem
@@ -818,7 +929,7 @@ impl Sm {
         snap.insert(format!("{p}.inflight_mem"), self.inflight.len() as u64);
         snap.insert(
             format!("{p}.waiting_lines"),
-            self.waiting_lines.len() as u64,
+            self.waiting_lines.lines.len() as u64,
         );
         snap.insert(
             format!("{p}.rt.resident_warps"),
@@ -841,7 +952,7 @@ impl Sm {
                 let cp = format!("{p}.warp{}.ctx{}", w.id, c.id);
                 snap.insert(format!("{cp}.pc"), c.pc as u64);
                 snap.insert(format!("{cp}.mask"), c.mask as u64);
-                let code = match w.ctx_state.get(&c.id).map(|s| &s.status) {
+                let code = match w.ctx(c.id).map(|s| &s.status) {
                     None | Some(CtxStatus::Ready) => 0,
                     Some(CtxStatus::OpUntil(_)) => 1,
                     Some(CtxStatus::WaitMem { .. }) => 2,
@@ -888,7 +999,8 @@ impl Sm {
         self.rt_unit.save(e);
         // HashMaps: sorted by key for a deterministic encoding; each waiter
         // list keeps its arrival order (wake-up order is load-bearing).
-        let mut lines: Vec<(&(CacheSel, u64), &Vec<Waiter>)> = self.waiting_lines.iter().collect();
+        let mut lines: Vec<(&(CacheSel, u64), &Vec<Waiter>)> =
+            self.waiting_lines.lines.iter().collect();
         lines.sort_by_key(|(&k, _)| k);
         e.seq(lines.len());
         for (&(sel, line), waiters) in lines {
@@ -987,7 +1099,7 @@ impl Sm {
             }
         };
         sm.rt_unit = RtUnit::load(config.rt_unit.clone(), d)?;
-        sm.waiting_lines = HashMap::new();
+        sm.waiting_lines = LineWaiters::default();
         for _ in 0..d.seq()? {
             let sel = CacheSel::from_code(d.u8()?)?;
             let line = d.u64()?;
@@ -996,9 +1108,9 @@ impl Sm {
             for _ in 0..nw {
                 waiters.push(Waiter::load(d)?);
             }
-            sm.waiting_lines.insert((sel, line), waiters);
+            sm.waiting_lines.lines.insert((sel, line), waiters);
         }
-        sm.inflight = HashMap::new();
+        sm.inflight = FxHashMap::default();
         for _ in 0..d.seq()? {
             let req = d.u64()?;
             let sel = CacheSel::from_code(d.u8()?)?;
@@ -1006,7 +1118,7 @@ impl Sm {
             sm.inflight.insert(req, (sel, line));
         }
         sm.next_rt_job = d.u32()?;
-        sm.rt_job_map = HashMap::new();
+        sm.rt_job_map = FxHashMap::default();
         for _ in 0..d.seq()? {
             let job = d.u32()?;
             let warp = d.u32()?;
@@ -1015,7 +1127,7 @@ impl Sm {
         }
         sm.last_warp = d.opt_u32()?;
         sm.next_req = d.u64()?;
-        sm.stats = Counters::load(d)?;
+        sm.stats = SmCounters::load(d)?;
         sm.issued_lanes = d.u64()?;
         sm.issued_insts = d.u64()?;
         sm.trace_cycles = d.u64()?;
@@ -1052,6 +1164,7 @@ impl Sm {
     #[allow(clippy::too_many_arguments)]
     fn issue(
         &mut self,
+        scratch: &mut Scratch,
         warp_idx: usize,
         ctx_id: u32,
         now: u64,
@@ -1061,7 +1174,7 @@ impl Sm {
         hooks: &mut dyn GpuHooks,
     ) -> Result<(), Box<SimError>> {
         let warp = &mut self.warps[warp_idx];
-        let Some(ctx) = warp.engine.contexts().into_iter().find(|c| c.id == ctx_id) else {
+        let Some(ctx) = warp.engine.context(ctx_id) else {
             return Ok(());
         };
         let pc = ctx.pc;
@@ -1076,7 +1189,7 @@ impl Sm {
             }));
         }
         let instr = *program.fetch(pc);
-        self.stats.inc(&format!("inst.{:?}", instr.class()));
+        self.stats.inc(SmCounter::inst(instr.class()));
         self.issued_insts += 1;
         self.issued_lanes += mask.count_ones() as u64;
         if let Some(tr) = self.tracer.as_mut() {
@@ -1084,7 +1197,8 @@ impl Sm {
         }
 
         // Execute every active lane functionally.
-        let mut lane_effects: Vec<(usize, Effect)> = Vec::new();
+        let lane_effects = &mut scratch.lane_effects;
+        lane_effects.clear();
         for lane in 0..WARP_SIZE {
             if mask & (1 << lane) == 0 {
                 continue;
@@ -1109,16 +1223,15 @@ impl Sm {
         match first {
             Effect::Alu | Effect::RtOther => {
                 warp.engine.apply(ctx_id, CtxOutcome::Fallthrough);
-                warp.ctx_state.entry(ctx_id).or_default().status = CtxStatus::Ready;
+                warp.ctx_mut(ctx_id).status = CtxStatus::Ready;
             }
             Effect::Sfu => {
                 warp.engine.apply(ctx_id, CtxOutcome::Fallthrough);
-                warp.ctx_state.entry(ctx_id).or_default().status =
-                    CtxStatus::OpUntil(now + self.sfu_latency as u64);
+                warp.ctx_mut(ctx_id).status = CtxStatus::OpUntil(now + self.sfu_latency as u64);
             }
             Effect::Ssy { reconv } => {
                 warp.engine.apply(ctx_id, CtxOutcome::Ssy { reconv });
-                warp.ctx_state.entry(ctx_id).or_default().status = CtxStatus::Ready;
+                warp.ctx_mut(ctx_id).status = CtxStatus::Ready;
             }
             Effect::Sync => {
                 let info = warp.engine.apply(ctx_id, CtxOutcome::Sync);
@@ -1127,14 +1240,14 @@ impl Sm {
                         tr.record(now, warp_id, EventKind::Reconverge { pc });
                     }
                 }
-                warp.ctx_state.entry(ctx_id).or_default().status = CtxStatus::Ready;
+                warp.ctx_mut(ctx_id).status = CtxStatus::Ready;
             }
             Effect::Exited => {
                 warp.engine.apply(ctx_id, CtxOutcome::Exit);
             }
             Effect::Branch { target, .. } => {
                 let mut taken: Mask = 0;
-                for &(lane, eff) in &lane_effects {
+                for &(lane, eff) in lane_effects.iter() {
                     if let Effect::Branch { taken: t, .. } = eff {
                         if t {
                             taken |= 1 << lane;
@@ -1142,7 +1255,7 @@ impl Sm {
                     }
                 }
                 if taken != 0 && taken != mask {
-                    self.stats.inc("divergent_branches");
+                    self.stats.inc(SmCounter::DivergentBranches);
                 }
                 let info = warp
                     .engine
@@ -1155,7 +1268,7 @@ impl Sm {
                         tr.record(now, warp_id, EventKind::Reconverge { pc });
                     }
                 }
-                warp.ctx_state.entry(ctx_id).or_default().status = CtxStatus::Ready;
+                warp.ctx_mut(ctx_id).status = CtxStatus::Ready;
             }
             Effect::Mem {
                 space: MemSpace::Const,
@@ -1163,25 +1276,27 @@ impl Sm {
             } => {
                 // Constant cache: single-cycle, no traffic modelled.
                 warp.engine.apply(ctx_id, CtxOutcome::Fallthrough);
-                warp.ctx_state.entry(ctx_id).or_default().status = CtxStatus::Ready;
+                warp.ctx_mut(ctx_id).status = CtxStatus::Ready;
             }
             Effect::Mem { is_store, .. } => {
                 // Coalesce lane addresses into unique 32 B chunks.
-                let mut chunks: Vec<u64> = Vec::new();
-                for &(_, eff) in &lane_effects {
+                let unique = &mut scratch.chunks;
+                unique.clear();
+                for &(_, eff) in lane_effects.iter() {
                     if let Effect::Mem { addr, size, .. } = eff {
-                        for c in chunk_addresses(addr, size) {
-                            if !chunks.contains(&c) {
-                                chunks.push(c);
+                        for c in chunks(addr, size) {
+                            if !unique.contains(&c) {
+                                unique.push(c);
                             }
                         }
                     }
                 }
-                self.stats.add("mem.coalesced_chunks", chunks.len() as u64);
+                self.stats
+                    .add(SmCounter::MemCoalescedChunks, unique.len() as u64);
                 warp.engine.apply(ctx_id, CtxOutcome::Fallthrough);
                 if is_store {
                     // Write-through, no stall.
-                    for c in chunks {
+                    for &c in unique.iter() {
                         self.l1.access(c, AccessKind::ShaderStore, now);
                         let id = self.alloc_req_id();
                         sink.submit(
@@ -1194,16 +1309,13 @@ impl Sm {
                             now,
                         );
                     }
-                    self.warps[warp_idx]
-                        .ctx_state
-                        .entry(ctx_id)
-                        .or_default()
-                        .status = CtxStatus::Ready;
+                    self.warps[warp_idx].ctx_mut(ctx_id).status = CtxStatus::Ready;
                     return Ok(());
                 }
                 let mut outstanding = 0u32;
-                let mut retries: Vec<u64> = Vec::new();
-                for c in chunks {
+                let refused = &mut scratch.refused;
+                refused.clear();
+                for &c in unique.iter() {
                     match self.l1.access(c, AccessKind::ShaderLoad, now) {
                         CacheOutcome::Hit => {}
                         CacheOutcome::MissToMemory => {
@@ -1211,13 +1323,13 @@ impl Sm {
                             let line = self.l1.line_of(c);
                             let id = self.alloc_req_id();
                             self.inflight.insert(id, (CacheSel::L1, line));
-                            self.waiting_lines
-                                .entry((CacheSel::L1, line))
-                                .or_default()
-                                .push(Waiter::WarpCtx {
+                            self.waiting_lines.push(
+                                (CacheSel::L1, line),
+                                Waiter::WarpCtx {
                                     warp: warp_id,
                                     ctx: ctx_id,
-                                });
+                                },
+                            );
                             sink.submit(
                                 MemRequest {
                                     id,
@@ -1235,26 +1347,27 @@ impl Sm {
                         CacheOutcome::MissMerged => {
                             outstanding += 1;
                             let line = self.l1.line_of(c);
-                            self.waiting_lines
-                                .entry((CacheSel::L1, line))
-                                .or_default()
-                                .push(Waiter::WarpCtx {
+                            self.waiting_lines.push(
+                                (CacheSel::L1, line),
+                                Waiter::WarpCtx {
                                     warp: warp_id,
                                     ctx: ctx_id,
-                                });
+                                },
+                            );
                         }
                         CacheOutcome::ReservationFail => {
                             outstanding += 1;
-                            retries.push(c);
+                            refused.push(c);
                         }
                     }
                 }
-                let st = self.warps[warp_idx].ctx_state.entry(ctx_id).or_default();
+                let st = self.warps[warp_idx].ctx_mut(ctx_id);
                 if outstanding == 0 {
                     st.status = CtxStatus::OpUntil(now + self.l1.hit_latency() as u64);
                 } else {
                     st.status = CtxStatus::WaitMem { outstanding };
-                    st.retry_chunks = retries;
+                    st.retry_chunks.clear();
+                    st.retry_chunks.extend_from_slice(refused);
                     if let Some(tr) = self.tracer.as_mut() {
                         tr.stall_begin(now, warp_id);
                     }
@@ -1262,8 +1375,9 @@ impl Sm {
             }
             Effect::TraceRay => {
                 // Collect the recorded traversal scripts for active lanes.
-                let mut scripts = vec![Vec::new(); WARP_SIZE];
-                for &(lane, _) in &lane_effects {
+                let mut scripts = self.rt_unit.spare_script_array();
+                scripts.resize_with(WARP_SIZE, Vec::new);
+                for &(lane, _) in lane_effects.iter() {
                     let tid = self.warps[warp_idx].base_tid + lane;
                     scripts[lane] = hooks.take_script(tid);
                 }
@@ -1284,18 +1398,18 @@ impl Sm {
                     warp_id: job_id,
                     scripts,
                 };
-                self.stats.inc("rt.trace_warps");
+                self.stats.inc(SmCounter::RtTraceWarps);
                 let warp = &mut self.warps[warp_idx];
                 warp.engine.apply(ctx_id, CtxOutcome::Fallthrough);
                 if self.rt_unit.has_capacity() {
                     let admitted = self.rt_unit.try_enqueue(job, now);
                     debug_assert!(admitted, "capacity checked");
                     self.rt_job_map.insert(job_id, (warp_id, ctx_id));
-                    warp.ctx_state.entry(ctx_id).or_default().status = CtxStatus::InRt;
+                    warp.ctx_mut(ctx_id).status = CtxStatus::InRt;
                 } else {
                     // Warp buffer full: hold the job; retried each cycle.
-                    self.stats.inc("rt.enqueue_stall");
-                    let st = warp.ctx_state.entry(ctx_id).or_default();
+                    self.stats.inc(SmCounter::RtEnqueueStall);
+                    let st = warp.ctx_mut(ctx_id);
                     st.status = CtxStatus::RtPending;
                     st.pending_rt_job = Some(job);
                 }
@@ -1310,8 +1424,8 @@ struct SmRtPort<'a> {
     l1: &'a mut Cache,
     rtc: Option<&'a mut Cache>,
     sink: &'a mut dyn MemSink,
-    waiting_lines: &'a mut HashMap<(CacheSel, u64), Vec<Waiter>>,
-    inflight: &'a mut HashMap<u64, (CacheSel, u64)>,
+    waiting_lines: &'a mut LineWaiters,
+    inflight: &'a mut FxHashMap<u64, (CacheSel, u64)>,
     next_req: &'a mut u64,
     sm_id: usize,
     perfect_bvh: bool,
@@ -1344,10 +1458,7 @@ impl RtMem for SmRtPort<'_> {
                 let id = self.alloc_req_id();
                 self.inflight.insert(id, (sel, line));
                 let token = id;
-                self.waiting_lines
-                    .entry((sel, line))
-                    .or_default()
-                    .push(Waiter::RtToken(token));
+                self.waiting_lines.push((sel, line), Waiter::RtToken(token));
                 if let Some(tr) = self.tracer.as_deref_mut() {
                     let partition = partition_of(line, self.num_partitions);
                     tr.record(now, NO_WARP, EventKind::MshrAlloc { line, partition });
@@ -1368,10 +1479,7 @@ impl RtMem for SmRtPort<'_> {
                     *self.next_req += 1;
                     ((self.sm_id as u64) << 48) | *self.next_req
                 };
-                self.waiting_lines
-                    .entry((sel, line))
-                    .or_default()
-                    .push(Waiter::RtToken(token));
+                self.waiting_lines.push((sel, line), Waiter::RtToken(token));
                 RtMemResult::Pending { token }
             }
             CacheOutcome::ReservationFail => RtMemResult::Retry,
@@ -1390,5 +1498,59 @@ impl RtMem for SmRtPort<'_> {
             },
             now,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::simt::FULL_MASK;
+    use vksim_isa::ProgramBuilder;
+    use vksim_mem::RequestQueue;
+
+    /// A multipath warp with contexts 5 and 2 both waiting for the RT
+    /// unit's warp buffer, which has one free slot.
+    fn contended_sm() -> Sm {
+        let mut config = GpuConfig::baseline();
+        config.divergence = DivergenceMode::Multipath;
+        config.rt_unit.max_warps = 1;
+        let mut sm = Sm::new(0, &config);
+        let mut b = ProgramBuilder::new();
+        b.exit();
+        sm.add_warp(7, 0, FULL_MASK, &b.build());
+        let warp = &mut sm.warps[0];
+        for (ctx, job) in [(5, 50), (2, 20)] {
+            let st = warp.ctx_mut(ctx);
+            st.status = CtxStatus::RtPending;
+            st.pending_rt_job = Some(WarpJob {
+                warp_id: job,
+                scripts: vec![vec![]],
+            });
+        }
+        sm
+    }
+
+    #[test]
+    fn contexts_are_kept_in_id_order() {
+        let sm = contended_sm();
+        let ids: Vec<u32> = sm.warps[0].ctx_state.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, [2, 5]);
+    }
+
+    /// RT admission walks contexts in ctx-id order, so the lower id wins
+    /// the last warp-buffer slot on every run.
+    #[test]
+    fn rt_admission_prefers_the_lower_ctx_id_every_run() {
+        for run in 0..8 {
+            let mut sm = contended_sm();
+            let mut scratch = Scratch::default();
+            sm.retry_stalled(&mut scratch, 1, &mut RequestQueue::new());
+            let warp = &sm.warps[0];
+            let status = |ctx| warp.ctx(ctx).map(|s| s.status.clone());
+            assert_eq!(status(2), Some(CtxStatus::InRt), "run {run}");
+            assert_eq!(status(5), Some(CtxStatus::RtPending), "run {run}");
+            assert_eq!(sm.rt_job_map.get(&20), Some(&(7, 2)), "run {run}");
+            assert_eq!(sm.rt_unit.resident_warps(), 1);
+        }
     }
 }

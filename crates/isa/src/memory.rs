@@ -5,7 +5,7 @@
 //! address space. The *timing* of accesses is modelled separately by
 //! `vksim-mem`; the functional interpreter only needs correct values.
 
-use std::collections::HashMap;
+use vksim_stats::FxHashMap;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -82,7 +82,7 @@ pub trait MemIo {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SimMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: FxHashMap<u64, Box<[u8; PAGE_SIZE]>>,
 }
 
 impl SimMemory {
@@ -184,7 +184,7 @@ impl SimMemory {
     /// 4 KiB is malformed.
     pub fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
         let n = d.seq()?;
-        let mut pages = HashMap::with_capacity(n);
+        let mut pages = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let idx = d.u64()?;
             let raw = d.bytes()?;
@@ -216,7 +216,7 @@ impl MemIo for SimMemory {
 /// order, so the final image is identical for any worker-thread count.
 #[derive(Clone, Debug, Default)]
 pub struct WriteOverlay {
-    bytes: HashMap<u64, u8>,
+    bytes: FxHashMap<u64, u8>,
 }
 
 impl WriteOverlay {

@@ -1,7 +1,52 @@
 //! Set-associative LRU cache with MSHRs and miss classification.
 
-use std::collections::HashMap;
-use vksim_stats::Counters;
+use vksim_stats::{FxHashMap, FxHashSet};
+
+vksim_stats::counter_slots! {
+    /// A cache's classified statistics: hits and demand misses per access
+    /// source (`<source>.hit`, `<source>.miss_<class>`), MSHR-merged
+    /// misses (`<source>.miss_pending`) and MSHR events.
+    pub enum CacheCounter => CacheCounters {
+        /// Lookups refused because every MSHR entry was busy.
+        MshrFull = "mshr.full",
+        /// Lookups refused because the line's MSHR entry had no merge slot.
+        MshrMergeFail = "mshr.merge_fail",
+        /// Lookups merged into an outstanding MSHR entry.
+        MshrMerged = "mshr.merged",
+        /// RT-unit hits.
+        RtUnitHit = "rt_unit.hit",
+        /// RT-unit capacity misses.
+        RtUnitMissCapacity = "rt_unit.miss_capacity",
+        /// RT-unit compulsory misses.
+        RtUnitMissCompulsory = "rt_unit.miss_compulsory",
+        /// RT-unit conflict misses.
+        RtUnitMissConflict = "rt_unit.miss_conflict",
+        /// RT-unit misses merged into an outstanding fill.
+        RtUnitMissPending = "rt_unit.miss_pending",
+        /// Shader-load hits.
+        ShaderLoadHit = "shader_load.hit",
+        /// Shader-load capacity misses.
+        ShaderLoadMissCapacity = "shader_load.miss_capacity",
+        /// Shader-load compulsory misses.
+        ShaderLoadMissCompulsory = "shader_load.miss_compulsory",
+        /// Shader-load conflict misses.
+        ShaderLoadMissConflict = "shader_load.miss_conflict",
+        /// Shader-load misses merged into an outstanding fill.
+        ShaderLoadMissPending = "shader_load.miss_pending",
+        /// Shader-store hits.
+        ShaderStoreHit = "shader_store.hit",
+        /// Shader-store capacity misses (stores never allocate, so unused).
+        ShaderStoreMissCapacity = "shader_store.miss_capacity",
+        /// Shader-store compulsory misses (unused, as above).
+        ShaderStoreMissCompulsory = "shader_store.miss_compulsory",
+        /// Shader-store conflict misses (unused, as above).
+        ShaderStoreMissConflict = "shader_store.miss_conflict",
+        /// Shader-store merged misses (unused, as above).
+        ShaderStoreMissPending = "shader_store.miss_pending",
+        /// Store misses written through without allocating.
+        ShaderStoreWriteThrough = "shader_store.write_through",
+    }
+}
 
 /// Who issued a memory access; drives the per-source breakdown of Fig. 14
 /// ("Cache misses primarily result from shader loads with only a small
@@ -17,11 +62,32 @@ pub enum AccessKind {
 }
 
 impl AccessKind {
-    fn tag(self) -> &'static str {
+    /// This source's outcome slots: hit, then the capacity, compulsory,
+    /// conflict and pending misses.
+    fn slots(self) -> [CacheCounter; 5] {
+        use CacheCounter::*;
         match self {
-            AccessKind::ShaderLoad => "shader_load",
-            AccessKind::ShaderStore => "shader_store",
-            AccessKind::RtUnit => "rt_unit",
+            AccessKind::ShaderLoad => [
+                ShaderLoadHit,
+                ShaderLoadMissCapacity,
+                ShaderLoadMissCompulsory,
+                ShaderLoadMissConflict,
+                ShaderLoadMissPending,
+            ],
+            AccessKind::ShaderStore => [
+                ShaderStoreHit,
+                ShaderStoreMissCapacity,
+                ShaderStoreMissCompulsory,
+                ShaderStoreMissConflict,
+                ShaderStoreMissPending,
+            ],
+            AccessKind::RtUnit => [
+                RtUnitHit,
+                RtUnitMissCapacity,
+                RtUnitMissCompulsory,
+                RtUnitMissConflict,
+                RtUnitMissPending,
+            ],
         }
     }
 
@@ -145,7 +211,7 @@ pub enum CacheOutcome {
 // One set's LRU state: line tag -> last-use stamp.
 #[derive(Default, Debug, Clone)]
 struct LruSet {
-    lines: HashMap<u64, u64>,
+    lines: FxHashMap<u64, u64>,
 }
 
 impl LruSet {
@@ -163,7 +229,7 @@ impl LruSet {
 
     fn load(d: &mut vksim_snapshot::Dec<'_>) -> Result<Self, vksim_snapshot::SnapError> {
         let n = d.seq()?;
-        let mut lines = HashMap::with_capacity(n);
+        let mut lines = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let t = d.u64()?;
             lines.insert(t, d.u64()?);
@@ -207,13 +273,13 @@ pub struct Cache {
     config: CacheConfig,
     sets: Vec<LruSet>,
     // MSHR: line address -> number of merged requesters.
-    mshr: HashMap<u64, usize>,
+    mshr: FxHashMap<u64, usize>,
     // Shadow structures for miss classification.
-    ever_seen: HashMap<u64, ()>,
+    ever_seen: FxHashSet<u64>,
     shadow_full: LruSet,
     stamp: u64,
     /// Classified statistics (hits/misses by [`AccessKind`]).
-    pub stats: Counters,
+    pub stats: CacheCounters,
 }
 
 impl Cache {
@@ -227,12 +293,12 @@ impl Cache {
         let sets = (0..config.num_sets()).map(|_| LruSet::default()).collect();
         Cache {
             sets,
-            mshr: HashMap::new(),
-            ever_seen: HashMap::new(),
+            mshr: FxHashMap::default(),
+            ever_seen: FxHashSet::default(),
             shadow_full: LruSet::default(),
             stamp: 0,
             config,
-            stats: Counters::new(),
+            stats: CacheCounters::new(),
         }
     }
 
@@ -269,7 +335,7 @@ impl Cache {
         let is_store = kind == AccessKind::ShaderStore;
 
         // Shadow bookkeeping for classification (reads only).
-        let first_touch = !is_store && self.ever_seen.insert(line, ()).is_none();
+        let first_touch = !is_store && self.ever_seen.insert(line);
         let shadow_hit = if is_store {
             false
         } else {
@@ -281,14 +347,15 @@ impl Cache {
             h
         };
 
+        let [hit, capacity, compulsory, conflict, pending] = kind.slots();
         if self.sets[set].touch(line, self.stamp) {
-            self.stats.inc(&format!("{}.hit", kind.tag()));
+            self.stats.inc(hit);
             return CacheOutcome::Hit;
         }
 
         if is_store {
             // Write-through no-allocate: a store never waits on a fill.
-            self.stats.inc("shader_store.write_through");
+            self.stats.inc(CacheCounter::ShaderStoreWriteThrough);
             return CacheOutcome::Hit;
         }
 
@@ -296,31 +363,31 @@ impl Cache {
         // (counted separately, not as a new classified miss).
         if let Some(cnt) = self.mshr.get_mut(&line) {
             if *cnt >= self.config.mshr_merge {
-                self.stats.inc("mshr.merge_fail");
+                self.stats.inc(CacheCounter::MshrMergeFail);
                 return CacheOutcome::ReservationFail;
             }
             *cnt += 1;
-            self.stats.inc("mshr.merged");
-            self.stats.inc(&format!("{}.miss_pending", kind.tag()));
+            self.stats.inc(CacheCounter::MshrMerged);
+            self.stats.inc(pending);
             return CacheOutcome::MissMerged;
         }
 
         // Classify the demand miss.
         let class = if first_touch {
-            "compulsory"
+            compulsory
         } else if shadow_hit {
             // Fully associative shadow of the same capacity would have hit:
             // conflict miss.
-            "conflict"
+            conflict
         } else {
-            "capacity"
+            capacity
         };
 
         if self.mshr.len() >= self.config.mshr_entries {
-            self.stats.inc("mshr.full");
+            self.stats.inc(CacheCounter::MshrFull);
             return CacheOutcome::ReservationFail;
         }
-        self.stats.inc(&format!("{}.miss_{class}", kind.tag()));
+        self.stats.inc(class);
         self.mshr.insert(line, 1);
         CacheOutcome::MissToMemory
     }
@@ -359,7 +426,7 @@ impl Cache {
             e.u64(l);
             e.usize(self.mshr[&l]);
         }
-        let mut seen: Vec<u64> = self.ever_seen.keys().copied().collect();
+        let mut seen: Vec<u64> = self.ever_seen.iter().copied().collect();
         seen.sort_unstable();
         e.seq(seen.len());
         for l in seen {
@@ -394,20 +461,20 @@ impl Cache {
             *s = LruSet::load(d)?;
         }
         let n = d.seq()?;
-        cache.mshr = HashMap::with_capacity(n);
+        cache.mshr = FxHashMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let l = d.u64()?;
             let cnt = d.usize()?;
             cache.mshr.insert(l, cnt);
         }
         let n = d.seq()?;
-        cache.ever_seen = HashMap::with_capacity(n);
+        cache.ever_seen = FxHashSet::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
-            cache.ever_seen.insert(d.u64()?, ());
+            cache.ever_seen.insert(d.u64()?);
         }
         cache.shadow_full = LruSet::load(d)?;
         cache.stamp = d.u64()?;
-        cache.stats = Counters::load(d)?;
+        cache.stats = CacheCounters::load(d)?;
         Ok(cache)
     }
 
@@ -418,20 +485,26 @@ impl Cache {
 
     /// Total hits across sources.
     pub fn total_hits(&self) -> u64 {
-        self.stats.get("shader_load.hit")
-            + self.stats.get("shader_store.hit")
-            + self.stats.get("rt_unit.hit")
+        [
+            AccessKind::ShaderLoad,
+            AccessKind::ShaderStore,
+            AccessKind::RtUnit,
+        ]
+        .iter()
+        .map(|k| self.stats.get(k.slots()[0]))
+        .sum()
     }
 
     /// Total classified read misses across sources. Pending (MSHR-merged)
-    /// misses share the `miss_` prefix but are not new classified misses,
-    /// so they are filtered out of the allocation-free prefix walk.
+    /// misses are not new classified misses and are left out.
     pub fn total_misses(&self) -> u64 {
-        ["shader_load.miss_", "rt_unit.miss_"]
+        [AccessKind::ShaderLoad, AccessKind::RtUnit]
             .iter()
-            .flat_map(|p| self.stats.iter_prefix(p))
-            .filter(|(k, _)| !k.ends_with("pending"))
-            .map(|(_, v)| v)
+            .flat_map(|k| {
+                let [_, capacity, compulsory, conflict, _] = k.slots();
+                [capacity, compulsory, conflict]
+            })
+            .map(|slot| self.stats.get(slot))
             .sum()
     }
 }
@@ -522,8 +595,8 @@ mod tests {
         assert_eq!(c.access(0x00, AccessKind::ShaderLoad, 4), CacheOutcome::Hit);
         // 0x20 was evicted; this is a non-compulsory miss.
         assert_ne!(c.access(0x20, AccessKind::ShaderLoad, 5), CacheOutcome::Hit);
-        let cap = c.stats.get("shader_load.miss_capacity");
-        let conf = c.stats.get("shader_load.miss_conflict");
+        let cap = c.stats.get(CacheCounter::ShaderLoadMissCapacity);
+        let conf = c.stats.get(CacheCounter::ShaderLoadMissConflict);
         assert_eq!(
             cap + conf,
             1,
@@ -546,11 +619,11 @@ mod tests {
             }
         }
         assert!(
-            c.stats.get("shader_load.miss_conflict") >= 2,
+            c.stats.get(CacheCounter::ShaderLoadMissConflict) >= 2,
             "ping-pong on one set must classify as conflict: {:?}",
             c.stats
         );
-        assert_eq!(c.stats.get("shader_load.miss_capacity"), 0);
+        assert_eq!(c.stats.get(CacheCounter::ShaderLoadMissCapacity), 0);
     }
 
     #[test]
@@ -560,14 +633,14 @@ mod tests {
             c.access(i * 32, AccessKind::ShaderLoad, 0);
             c.fill(i * 32, 0);
         }
-        assert_eq!(c.stats.get("shader_load.miss_compulsory"), 4);
+        assert_eq!(c.stats.get(CacheCounter::ShaderLoadMissCompulsory), 4);
         for i in 0..4u64 {
             assert_eq!(
                 c.access(i * 32, AccessKind::ShaderLoad, 1),
                 CacheOutcome::Hit
             );
         }
-        assert_eq!(c.stats.get("shader_load.miss_compulsory"), 4);
+        assert_eq!(c.stats.get(CacheCounter::ShaderLoadMissCompulsory), 4);
     }
 
     #[test]
@@ -582,7 +655,7 @@ mod tests {
             c.access(0x200, AccessKind::ShaderLoad, 1),
             CacheOutcome::MissToMemory
         );
-        assert_eq!(c.stats.get("shader_store.write_through"), 1);
+        assert_eq!(c.stats.get(CacheCounter::ShaderStoreWriteThrough), 1);
     }
 
     #[test]
@@ -591,9 +664,9 @@ mod tests {
         c.access(0x40, AccessKind::RtUnit, 0);
         c.fill(0x40, 1);
         c.access(0x40, AccessKind::RtUnit, 2);
-        assert_eq!(c.stats.get("rt_unit.hit"), 1);
-        assert_eq!(c.stats.get("rt_unit.miss_compulsory"), 1);
-        assert_eq!(c.stats.get("shader_load.hit"), 0);
+        assert_eq!(c.stats.get(CacheCounter::RtUnitHit), 1);
+        assert_eq!(c.stats.get(CacheCounter::RtUnitMissCompulsory), 1);
+        assert_eq!(c.stats.get(CacheCounter::ShaderLoadHit), 0);
     }
 
     #[test]
@@ -704,13 +777,14 @@ mod tests {
                     );
                     // Store write-throughs report Hit without counting in the
                     // hit statistics; everything else must reconcile.
-                    let wt = c.stats.get("shader_store.write_through");
+                    let wt = c.stats.get(CacheCounter::ShaderStoreWriteThrough);
                     prop_assert!(wt <= stores);
                     prop_assert_eq!(c.total_hits() + wt, hits);
                     prop_assert_eq!(c.total_misses(), misses);
-                    prop_assert_eq!(c.stats.get("mshr.merged"), merged);
+                    prop_assert_eq!(c.stats.get(CacheCounter::MshrMerged), merged);
                     prop_assert_eq!(
-                        c.stats.get("mshr.full") + c.stats.get("mshr.merge_fail"),
+                        c.stats.get(CacheCounter::MshrFull)
+                            + c.stats.get(CacheCounter::MshrMergeFail),
                         resfail
                     );
                     // Draining every outstanding fill empties the MSHR file.
@@ -751,7 +825,7 @@ mod tests {
                         .map(|a| a / 32)
                         .collect::<std::collections::HashSet<_>>();
                     prop_assert_eq!(
-                        c.stats.get("shader_load.miss_compulsory"),
+                        c.stats.get(CacheCounter::ShaderLoadMissCompulsory),
                         distinct.len() as u64
                     );
                     // Second pass: the whole set must be resident.
@@ -786,9 +860,9 @@ mod tests {
                         let _ = pass;
                     }
                 }
-                let compulsory = c.stats.get("shader_load.miss_compulsory");
-                let capacity = c.stats.get("shader_load.miss_capacity");
-                let conflict = c.stats.get("shader_load.miss_conflict");
+                let compulsory = c.stats.get(CacheCounter::ShaderLoadMissCompulsory);
+                let capacity = c.stats.get(CacheCounter::ShaderLoadMissCapacity);
+                let conflict = c.stats.get(CacheCounter::ShaderLoadMissConflict);
                 prop_assert_eq!(
                     compulsory,
                     n as u64,

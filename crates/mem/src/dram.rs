@@ -24,7 +24,20 @@
 //!   decision, which degenerates to exactly the FCFS schedule.
 
 use std::collections::VecDeque;
-use vksim_stats::Counters;
+
+vksim_stats::counter_slots! {
+    /// DRAM request and row-buffer counters.
+    pub enum DramCounter => DramCounters {
+        /// Serviced requests.
+        Req = "req",
+        /// Accesses to a bank with no open row (activate + CAS).
+        RowEmpty = "row_empty",
+        /// Accesses to the open row (CAS only).
+        RowHit = "row_hit",
+        /// Accesses to another row (precharge + activate + CAS).
+        RowMiss = "row_miss",
+    }
+}
 
 /// DRAM memory-access scheduling policy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -164,7 +177,7 @@ pub struct Dram {
     config: DramConfig,
     channels: Vec<Channel>,
     /// Row-hit/miss and traffic counters.
-    pub stats: Counters,
+    pub stats: DramCounters,
     /// Row-activate trace buffer: `(cycle, channel, bank)` per activate
     /// command, recorded only while tracing is enabled.
     row_activates: Option<Vec<(u64, u32, u32)>>,
@@ -202,7 +215,7 @@ impl Dram {
         Dram {
             config,
             channels,
-            stats: Counters::new(),
+            stats: DramCounters::new(),
             row_activates: None,
             next_ticket: 0,
             last_arrival: 0,
@@ -247,15 +260,15 @@ impl Dram {
         let start = arrival.max(bank.ready_at).max(ch.bus_free_at);
         let (access_lat, activated) = match bank.open_row {
             Some(r) if r == row => {
-                self.stats.inc("row_hit");
+                self.stats.inc(DramCounter::RowHit);
                 (cfg.t_cas, false)
             }
             Some(_) => {
-                self.stats.inc("row_miss");
+                self.stats.inc(DramCounter::RowMiss);
                 (cfg.t_rp + cfg.t_rcd + cfg.t_cas, true)
             }
             None => {
-                self.stats.inc("row_empty");
+                self.stats.inc(DramCounter::RowEmpty);
                 (cfg.t_rcd + cfg.t_cas, true)
             }
         };
@@ -278,7 +291,7 @@ impl Dram {
             ch.active_window_end = done;
         }
         ch.transfer_cycles += cfg.burst_cycles;
-        self.stats.inc("req");
+        self.stats.inc(DramCounter::Req);
         done
     }
 
@@ -287,7 +300,7 @@ impl Dram {
     /// available.
     pub fn service(&mut self, addr: u64, now: u64) -> u64 {
         if self.config.perfect {
-            self.stats.inc("req");
+            self.stats.inc(DramCounter::Req);
             return now + 1;
         }
         let ch_idx = self.channel_of(addr);
@@ -360,6 +373,14 @@ impl Dram {
     /// horizons: a decision at start `s` only depends on requests arriving
     /// at or before `s`, and callers never submit an arrival in the past.
     pub fn run_schedule(&mut self, horizon: u64) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        self.run_schedule_into(horizon, &mut out);
+        out
+    }
+
+    /// [`Dram::run_schedule`] that appends the `(ticket, completion
+    /// cycle)` pairs to `out`, a caller-owned buffer.
+    pub fn run_schedule_into(&mut self, horizon: u64, out: &mut Vec<(u64, u64)>) {
         let (depth, age_cap) = match self.config.sched {
             DramSched::FrFcfs {
                 queue_depth,
@@ -367,9 +388,8 @@ impl Dram {
                 // The constructor rejects depth 0, so the first-ready
                 // window below is never empty while requests are queued.
             } => (queue_depth as usize, age_cap),
-            DramSched::Fcfs => return Vec::new(),
+            DramSched::Fcfs => return,
         };
-        let mut out = Vec::new();
         for ch_idx in 0..self.channels.len() {
             loop {
                 // The oldest pending request of the channel (min ticket =
@@ -446,7 +466,6 @@ impl Dram {
                 out.push((p.ticket, done));
             }
         }
-        out
     }
 
     /// Serializes the array's dynamic state — per-bank open rows, ready
@@ -535,7 +554,7 @@ impl Dram {
             ch.active_cycles = d.u64()?;
             ch.transfer_cycles = d.u64()?;
         }
-        dram.stats = Counters::load(d)?;
+        dram.stats = DramCounters::load(d)?;
         dram.row_activates = match d.u8()? {
             0 => None,
             1 => {
@@ -593,8 +612,8 @@ impl Dram {
 
     /// Row-buffer hit rate.
     pub fn row_hit_rate(&self) -> f64 {
-        let h = self.stats.get("row_hit") as f64;
-        let total = self.stats.get("req") as f64;
+        let h = self.stats.get(DramCounter::RowHit) as f64;
+        let total = self.stats.get(DramCounter::Req) as f64;
         if total == 0.0 {
             0.0
         } else {
@@ -624,9 +643,9 @@ mod tests {
             row_miss_cost > row_hit_cost,
             "{row_miss_cost} <= {row_hit_cost}"
         );
-        assert_eq!(d.stats.get("row_hit"), 1);
-        assert_eq!(d.stats.get("row_miss"), 1);
-        assert_eq!(d.stats.get("row_empty"), 1);
+        assert_eq!(d.stats.get(DramCounter::RowHit), 1);
+        assert_eq!(d.stats.get(DramCounter::RowMiss), 1);
+        assert_eq!(d.stats.get(DramCounter::RowEmpty), 1);
     }
 
     #[test]

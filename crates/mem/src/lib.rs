@@ -27,11 +27,11 @@ pub mod cache;
 pub mod dram;
 pub mod system;
 
-pub use cache::{AccessKind, Cache, CacheConfig, CacheOutcome};
-pub use dram::{Dram, DramConfig, DramIssue, DramSched};
+pub use cache::{AccessKind, Cache, CacheConfig, CacheCounter, CacheCounters, CacheOutcome};
+pub use dram::{Dram, DramConfig, DramCounter, DramCounters, DramIssue, DramSched};
 pub use system::{
-    partition_of, MemConfig, MemRequest, MemSink, RequestQueue, SharedMemSystem, SystemConfig,
-    PARTITION_BYTES,
+    partition_of, MemConfig, MemRequest, MemSink, RequestQueue, SharedMemSystem, SysCounter,
+    SysCounters, SystemConfig, PARTITION_BYTES,
 };
 
 /// Memory chunk size: larger requests are broken into 32 B pieces
@@ -48,13 +48,21 @@ pub const CHUNK_BYTES: u32 = 32;
 /// assert_eq!(chunk_addresses(0x41, 32), vec![0x40, 0x60]); // straddles
 /// ```
 pub fn chunk_addresses(addr: u64, size: u32) -> Vec<u64> {
+    chunks(addr, size).collect()
+}
+
+/// The chunks of [`chunk_addresses`], in the same order, without
+/// allocating (the form the per-cycle paths use).
+///
+/// ```
+/// use vksim_mem::chunks;
+/// assert!(chunks(0x41, 32).eq([0x40, 0x60]));
+/// ```
+pub fn chunks(addr: u64, size: u32) -> impl Iterator<Item = u64> + Clone {
     let step = CHUNK_BYTES as u64;
     let first = addr / step * step;
     let last = (addr + size.max(1) as u64 - 1) / step * step;
-    (0..)
-        .map(|i| first + i * step)
-        .take_while(|&a| a <= last)
-        .collect()
+    (first..=last).step_by(CHUNK_BYTES as usize)
 }
 
 #[cfg(test)]

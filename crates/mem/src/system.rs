@@ -21,10 +21,37 @@
 //! byte-identical.
 
 use crate::cache::{AccessKind, Cache, CacheConfig, CacheOutcome};
-use crate::dram::{Dram, DramConfig, DramIssue};
+use crate::dram::{Dram, DramConfig, DramCounter, DramIssue};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use vksim_stats::Counters;
+use std::collections::BinaryHeap;
+use vksim_stats::{Counters, FxHashMap};
+
+vksim_stats::counter_slots! {
+    /// Interconnect and backend traffic counters of the shared memory
+    /// system.
+    pub enum SysCounter => SysCounters {
+        /// L2-to-DRAM offers refused by a full bank queue and re-offered.
+        DramBankFullRetries = "dram.bank_full_retries",
+        /// L2 read misses sent to DRAM.
+        DramReads = "dram.reads",
+        /// Write-through stores sent to DRAM.
+        DramWrites = "dram.writes",
+        /// Completions returned to the SMs.
+        IcntFromL2 = "icnt.from_l2",
+        /// Offers refused by a full partition ingress.
+        IcntRefused = "icnt.refused",
+        /// Requests accepted towards a partition.
+        IcntToL2 = "icnt.to_l2",
+        /// L2 lookups refused (MSHR) and retried after a backoff.
+        L2Retry = "l2.retry",
+        /// Completions swallowed by fault injection.
+        MemInjectedDrops = "mem.injected_drops",
+    }
+}
+
+/// Emptied L2 waiter lists a partition keeps for reuse: enough for the
+/// per-cycle churn, without holding a high-water mark of lists.
+const SPARE_WAITING_LISTS: usize = 8;
 
 /// Partition interleave granularity: consecutive 128 B lines map to
 /// consecutive partitions.
@@ -313,9 +340,12 @@ struct Partition {
     dram: Dram,
     events: BinaryHeap<Reverse<Ev>>,
     seq: u64,
-    waiting: HashMap<u64, Vec<u64>>,
+    waiting: FxHashMap<u64, Vec<u64>>,
+    /// Up to [`SPARE_WAITING_LISTS`] emptied `waiting` lists kept for
+    /// reuse (no state; not saved).
+    spare_waiting: Vec<Vec<u64>>,
     /// FR-FCFS tickets for in-flight reads: ticket -> L2 line to fill.
-    tickets: HashMap<u64, u64>,
+    tickets: FxHashMap<u64, u64>,
     /// Requests accepted into this partition's ingress (on the wire or
     /// queued at the L2 slice) and not yet handed to the L2. Bounded by
     /// `icnt_queue_depth` when that knob is finite.
@@ -333,6 +363,15 @@ struct Partition {
 }
 
 impl Partition {
+    /// Queues request `id` on the fill of `line`.
+    fn wait_on(&mut self, line: u64, id: u64) {
+        let spare = &mut self.spare_waiting;
+        self.waiting
+            .entry(line)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(id);
+    }
+
     fn push(&mut self, time: u64, kind: EvKind) {
         self.seq += 1;
         self.events.push(Reverse(Ev {
@@ -405,7 +444,7 @@ impl Partition {
         }
         self.seq = d.u64()?;
         let nw = d.seq()?;
-        self.waiting = HashMap::with_capacity(nw);
+        self.waiting = FxHashMap::with_capacity_and_hasher(nw, Default::default());
         for _ in 0..nw {
             let line = d.u64()?;
             let ni = d.seq()?;
@@ -416,7 +455,7 @@ impl Partition {
             self.waiting.insert(line, ids);
         }
         let nt = d.seq()?;
-        self.tickets = HashMap::with_capacity(nt);
+        self.tickets = FxHashMap::with_capacity_and_hasher(nt, Default::default());
         for _ in 0..nt {
             let ticket = d.u64()?;
             self.tickets.insert(ticket, d.u64()?);
@@ -449,7 +488,7 @@ impl Partition {
 /// unbounded historical return path.
 #[allow(clippy::too_many_arguments)]
 fn deliver(
-    stats: &mut Counters,
+    stats: &mut SysCounters,
     drop_nth: Option<u64>,
     delivered: &mut u64,
     egress: &mut [u64],
@@ -460,10 +499,10 @@ fn deliver(
 ) {
     *delivered += 1;
     if drop_nth == Some(*delivered) {
-        stats.inc("mem.injected_drops");
+        stats.inc(SysCounter::MemInjectedDrops);
         return;
     }
-    stats.inc("icnt.from_l2");
+    stats.inc(SysCounter::IcntFromL2);
     let at = if egress.is_empty() {
         ready + icnt
     } else {
@@ -492,7 +531,7 @@ fn deliver(
 /// let mut t = 0;
 /// while done.is_empty() {
 ///     t += 1;
-///     done.extend(sys.advance_to(t));
+///     sys.advance_into(t, &mut done);
 /// }
 /// assert_eq!(done[0].0, 1);
 /// ```
@@ -507,7 +546,9 @@ pub struct SharedMemSystem {
     /// Completions delivered so far (drives `drop_nth_completion`).
     completions_delivered: u64,
     /// Interconnect / backend traffic counters.
-    pub stats: Counters,
+    pub stats: SysCounters,
+    /// Scratch for [`Dram::run_schedule_into`] (no state; not saved).
+    scheduled: Vec<(u64, u64)>,
 }
 
 impl SharedMemSystem {
@@ -533,8 +574,9 @@ impl SharedMemSystem {
                 dram: Dram::new(dram_cfg.clone()),
                 events: BinaryHeap::new(),
                 seq: 0,
-                waiting: HashMap::new(),
-                tickets: HashMap::new(),
+                waiting: FxHashMap::default(),
+                spare_waiting: Vec::new(),
+                tickets: FxHashMap::default(),
                 ingress_occupancy: 0,
                 last_event_time: 0,
                 egress_free: vec![0; config.icnt_return_credits as usize],
@@ -546,7 +588,8 @@ impl SharedMemSystem {
             icnt_queue_depth: config.icnt_queue_depth,
             drop_nth_completion: None,
             completions_delivered: 0,
-            stats: Counters::new(),
+            stats: SysCounters::new(),
+            scheduled: Vec::new(),
         }
     }
 
@@ -580,7 +623,7 @@ impl SharedMemSystem {
     pub fn try_submit(&mut self, req: MemRequest, now: u64) -> bool {
         let pi = partition_of(req.addr, self.parts.len() as u32) as usize;
         if self.icnt_queue_depth > 0 && self.parts[pi].ingress_occupancy >= self.icnt_queue_depth {
-            self.stats.inc("icnt.refused");
+            self.stats.inc(SysCounter::IcntRefused);
             return false;
         }
         self.accept(pi, req, now);
@@ -590,7 +633,7 @@ impl SharedMemSystem {
     /// Accepts a request into partition `pi`'s ingress. `icnt.to_l2`
     /// counts acceptances only — refused offers are not traffic.
     fn accept(&mut self, pi: usize, req: MemRequest, now: u64) {
-        self.stats.inc("icnt.to_l2");
+        self.stats.inc(SysCounter::IcntToL2);
         let p = &mut self.parts[pi];
         let at = (now + self.icnt_latency as u64).max(p.last_event_time);
         p.ingress_occupancy += 1;
@@ -610,6 +653,13 @@ impl SharedMemSystem {
     /// thread-count-independent order.
     pub fn advance_to(&mut self, cycle: u64) -> Vec<(u64, u64)> {
         let mut done = Vec::new();
+        self.advance_into(cycle, &mut done);
+        done
+    }
+
+    /// [`SharedMemSystem::advance_to`] that appends the completions to
+    /// `done`, a buffer the caller owns and reuses across cycles.
+    pub fn advance_into(&mut self, cycle: u64, done: &mut Vec<(u64, u64)>) {
         let icnt = self.icnt_latency as u64;
         let bounded = self.icnt_queue_depth > 0;
         for pi in 0..self.parts.len() {
@@ -618,6 +668,7 @@ impl SharedMemSystem {
                 stats,
                 drop_nth_completion,
                 completions_delivered,
+                scheduled,
                 ..
             } = self;
             let p = &mut parts[pi];
@@ -629,9 +680,9 @@ impl SharedMemSystem {
                     Some(&Reverse(ev)) if ev.time <= cycle => ev.time,
                     _ => cycle,
                 };
-                let scheduled = p.dram.run_schedule(horizon);
+                p.dram.run_schedule_into(horizon, scheduled);
                 if !scheduled.is_empty() {
-                    for (ticket, ready) in scheduled {
+                    for (ticket, ready) in scheduled.drain(..) {
                         if let Some(line) = p.tickets.remove(&ticket) {
                             p.push(ready, EvKind::DramDone { line });
                         }
@@ -656,13 +707,13 @@ impl SharedMemSystem {
                         bounded,
                         req,
                         ev.time,
-                        &mut done,
+                        done,
                     ),
                     EvKind::DramDone { line } => {
                         let t = ev.time;
                         p.l2.fill(line, t);
-                        if let Some(ids) = p.waiting.remove(&line) {
-                            for id in ids {
+                        if let Some(mut ids) = p.waiting.remove(&line) {
+                            for &id in &ids {
                                 deliver(
                                     stats,
                                     *drop_nth_completion,
@@ -671,8 +722,12 @@ impl SharedMemSystem {
                                     icnt,
                                     id,
                                     t,
-                                    &mut done,
+                                    done,
                                 );
+                            }
+                            if p.spare_waiting.len() < SPARE_WAITING_LISTS {
+                                ids.clear();
+                                p.spare_waiting.push(ids);
                             }
                         }
                     }
@@ -691,7 +746,6 @@ impl SharedMemSystem {
                 }
             }
         }
-        done
     }
 
     /// The first partition's L2 slice (single-partition convenience for
@@ -711,13 +765,13 @@ impl SharedMemSystem {
     /// partition exists (so single-partition golden key sets are
     /// unchanged).
     pub fn l2_stats(&self) -> Counters {
-        merge_partition_stats(self.parts.iter().map(|p| &p.l2.stats))
+        merge_partition_stats(self.parts.iter().map(|p| p.l2.stats.to_counters()))
     }
 
     /// Merged DRAM counters, same key scheme as
     /// [`SharedMemSystem::l2_stats`].
     pub fn dram_stats(&self) -> Counters {
-        merge_partition_stats(self.parts.iter().map(|p| &p.dram.stats))
+        merge_partition_stats(self.parts.iter().map(|p| p.dram.stats.to_counters()))
     }
 
     /// DRAM efficiency aggregated across partitions, weighted by cycles:
@@ -752,8 +806,16 @@ impl SharedMemSystem {
     /// Row-buffer hit rate aggregated across partitions, weighted by
     /// requests: total row hits over total requests.
     pub fn dram_row_hit_rate(&self) -> f64 {
-        let hits: u64 = self.parts.iter().map(|p| p.dram.stats.get("row_hit")).sum();
-        let reqs: u64 = self.parts.iter().map(|p| p.dram.stats.get("req")).sum();
+        let hits: u64 = self
+            .parts
+            .iter()
+            .map(|p| p.dram.stats.get(DramCounter::RowHit))
+            .sum();
+        let reqs: u64 = self
+            .parts
+            .iter()
+            .map(|p| p.dram.stats.get(DramCounter::Req))
+            .sum();
         if reqs == 0 {
             0.0
         } else {
@@ -797,7 +859,7 @@ impl SharedMemSystem {
             (
                 acc.0 + p.l2.total_hits(),
                 acc.1 + p.l2.total_misses(),
-                acc.2 + p.dram.stats.get("req"),
+                acc.2 + p.dram.stats.get(DramCounter::Req),
                 acc.3 + p.dram.transfer_cycles(),
             )
         })
@@ -843,7 +905,7 @@ impl SharedMemSystem {
         }
         sys.drop_nth_completion = d.opt_u64()?;
         sys.completions_delivered = d.u64()?;
-        sys.stats = Counters::load(d)?;
+        sys.stats = SysCounters::load(d)?;
         Ok(sys)
     }
 
@@ -858,11 +920,11 @@ impl SharedMemSystem {
 
 /// Sums counter bags over partitions, adding `p{i}.*` copies when more
 /// than one partition exists.
-fn merge_partition_stats<'a>(bags: impl ExactSizeIterator<Item = &'a Counters>) -> Counters {
+fn merge_partition_stats(bags: impl ExactSizeIterator<Item = Counters>) -> Counters {
     let multi = bags.len() > 1;
     let mut out = Counters::new();
     for (i, bag) in bags.enumerate() {
-        out.merge(bag);
+        out.merge(&bag);
         if multi {
             for (k, v) in bag.iter() {
                 out.add(&format!("p{i}.{k}"), v);
@@ -879,7 +941,7 @@ fn merge_partition_stats<'a>(bags: impl ExactSizeIterator<Item = &'a Counters>) 
 #[allow(clippy::too_many_arguments)]
 fn handle_l2(
     p: &mut Partition,
-    stats: &mut Counters,
+    stats: &mut SysCounters,
     drop_nth: Option<u64>,
     delivered: &mut u64,
     icnt: u64,
@@ -926,8 +988,8 @@ fn handle_l2(
         }
         CacheOutcome::MissToMemory => {
             p.ingress_occupancy -= 1;
-            p.waiting.entry(line).or_default().push(req.id);
-            stats.inc("dram.reads");
+            p.wait_on(line, req.id);
+            stats.inc(SysCounter::DramReads);
             submit_dram(
                 p,
                 stats,
@@ -941,11 +1003,11 @@ fn handle_l2(
         }
         CacheOutcome::MissMerged => {
             p.ingress_occupancy -= 1;
-            p.waiting.entry(line).or_default().push(req.id);
+            p.wait_on(line, req.id);
         }
         CacheOutcome::ReservationFail => {
             // Retry after a short backoff.
-            stats.inc("l2.retry");
+            stats.inc(SysCounter::L2Retry);
             p.push(t + 4, EvKind::ArriveL2(req));
         }
     }
@@ -960,7 +1022,7 @@ fn handle_l2(
 #[allow(clippy::too_many_arguments)]
 fn submit_dram(
     p: &mut Partition,
-    stats: &mut Counters,
+    stats: &mut SysCounters,
     bounded: bool,
     addr: u64,
     line: u64,
@@ -975,7 +1037,7 @@ fn submit_dram(
     };
     match issue {
         None => {
-            stats.inc("dram.bank_full_retries");
+            stats.inc(SysCounter::DramBankFullRetries);
             p.push(
                 retry_at,
                 EvKind::RetryDram {
@@ -985,7 +1047,7 @@ fn submit_dram(
                 },
             );
         }
-        Some(_) if is_store => stats.inc("dram.writes"),
+        Some(_) if is_store => stats.inc(SysCounter::DramWrites),
         Some(DramIssue::Done(ready)) => p.push(ready, EvKind::DramDone { line }),
         Some(DramIssue::Queued(ticket)) => {
             p.tickets.insert(ticket, line);
@@ -1006,6 +1068,7 @@ impl MemSink for SharedMemSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheCounter;
     use crate::dram::DramSched;
 
     fn drain(sys: &mut SharedMemSystem, until: u64) -> Vec<(u64, u64)> {
@@ -1035,7 +1098,7 @@ mod tests {
         let done2 = drain(&mut sys, t1 + 100_000);
         let (_, t2) = done2[0];
         assert!(t2 - t1 < t1, "hit {t2} vs cold {t1}");
-        assert_eq!(sys.l2().stats.get("shader_load.hit"), 1);
+        assert_eq!(sys.l2().stats.get(CacheCounter::ShaderLoadHit), 1);
     }
 
     #[test]
@@ -1060,7 +1123,7 @@ mod tests {
             "merged fills complete together"
         );
         // Only one DRAM read happened.
-        assert_eq!(sys.dram().stats.get("req"), 1);
+        assert_eq!(sys.dram().stats.get(DramCounter::Req), 1);
     }
 
     #[test]
@@ -1077,7 +1140,7 @@ mod tests {
         );
         let done = drain(&mut sys, 10_000);
         assert_eq!(done.len(), 1);
-        assert_eq!(sys.stats.get("dram.writes"), 1);
+        assert_eq!(sys.stats.get(SysCounter::DramWrites), 1);
         // Store ack does not wait for DRAM.
         assert!(done[0].1 <= 8 + 160 + 8 + 1);
     }
@@ -1132,8 +1195,8 @@ mod tests {
         let b = queued.advance_to(1_000_000);
         assert_eq!(a, b);
         assert_eq!(
-            direct.stats.get("icnt.to_l2"),
-            queued.stats.get("icnt.to_l2")
+            direct.stats.get(SysCounter::IcntToL2),
+            queued.stats.get(SysCounter::IcntToL2)
         );
     }
 
@@ -1147,8 +1210,8 @@ mod tests {
         let done = drain(&mut sys, 1_000_000);
         assert_eq!(done.len(), 2, "the 2nd completion was dropped");
         assert!(done.iter().all(|&(id, _)| id != done_victim(&done)));
-        assert_eq!(sys.stats.get("mem.injected_drops"), 1);
-        assert_eq!(sys.stats.get("icnt.from_l2"), 2);
+        assert_eq!(sys.stats.get(SysCounter::MemInjectedDrops), 1);
+        assert_eq!(sys.stats.get(SysCounter::IcntFromL2), 2);
         assert!(sys.is_idle(), "backend drains even with the drop");
     }
 
@@ -1291,8 +1354,12 @@ mod tests {
             !sys.try_submit(load(3, 0x3000), 0),
             "full partition refuses"
         );
-        assert_eq!(sys.stats.get("icnt.refused"), 1);
-        assert_eq!(sys.stats.get("icnt.to_l2"), 2, "refusals are not traffic");
+        assert_eq!(sys.stats.get(SysCounter::IcntRefused), 1);
+        assert_eq!(
+            sys.stats.get(SysCounter::IcntToL2),
+            2,
+            "refusals are not traffic"
+        );
         // Once the L2 consumes the requests the slots free up.
         let done = drain(&mut sys, 1_000_000);
         assert_eq!(done.len(), 2);
@@ -1306,8 +1373,8 @@ mod tests {
         for id in 0..64u64 {
             assert!(sys.try_submit(load(id, id * 0x40), 0));
         }
-        assert_eq!(sys.stats.get("icnt.refused"), 0);
-        assert_eq!(sys.stats.get("icnt.to_l2"), 64);
+        assert_eq!(sys.stats.get(SysCounter::IcntRefused), 0);
+        assert_eq!(sys.stats.get(SysCounter::IcntToL2), 64);
     }
 
     #[test]
@@ -1368,7 +1435,7 @@ mod tests {
         assert_eq!(done.len(), 8, "every request completes despite refusals");
         assert!(sys.is_idle());
         assert!(
-            sys.stats.get("dram.bank_full_retries") > 0,
+            sys.stats.get(SysCounter::DramBankFullRetries) > 0,
             "the single-entry bank queue must have pushed back"
         );
         assert_eq!(sys.dram_stats().get("req"), 8);

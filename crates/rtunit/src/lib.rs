@@ -25,8 +25,8 @@
 pub mod unit;
 
 pub use unit::{
-    RtMem, RtMemResult, RtUnit, RtUnitAnalytics, RtUnitEvent, RtUnitEventKind, RtUnitStats,
-    WarpDone,
+    RtCounter, RtCounters, RtMem, RtMemResult, RtUnit, RtUnitAnalytics, RtUnitEvent,
+    RtUnitEventKind, RtUnitStats, WarpDone,
 };
 
 use vksim_stats::{Counters, Histogram};

@@ -2,9 +2,49 @@
 
 use crate::{OpKind, RtStatsBundle, RtUnitConfig, Step, WarpJob, SHORT_STACK_ENTRIES};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use vksim_mem::chunk_addresses;
-use vksim_stats::{Counters, Histogram};
+use std::collections::{BinaryHeap, VecDeque};
+use vksim_mem::chunks;
+use vksim_stats::{FxHashMap, Histogram};
+
+vksim_stats::counter_slots! {
+    /// The RT unit's event counters, reported under these names in
+    /// [`RtStatsBundle::counters`].
+    pub enum RtCounter => RtCounters {
+        /// Chunk requests handed to the cache port.
+        MemIssued = "mem.issued",
+        /// Lane fetches merged into an already-queued chunk request.
+        MemMerged = "mem.merged",
+        /// Lane fetches deferred because the access queue was full.
+        MemQueueFull = "mem.queue_full",
+        /// New chunk requests entering the access queue.
+        MemRequests = "mem.requests",
+        /// Cache-port refusals (retried next cycle).
+        MemRetry = "mem.retry",
+        /// Store chunks (intersection buffer, stack spills).
+        MemStores = "mem.stores",
+        /// Ray-box tests.
+        OpsBoxTests = "ops.box_tests",
+        /// Ray transforms.
+        OpsTransforms = "ops.transforms",
+        /// Ray-triangle tests.
+        OpsTriangleTests = "ops.triangle_tests",
+        /// Rays (active lanes) admitted.
+        RaysEntered = "rays_entered",
+        /// Admissions refused by a full Warp Buffer.
+        WarpBufferFull = "warp_buffer_full",
+        /// Warps retired.
+        WarpsCompleted = "warps_completed",
+        /// Warps admitted.
+        WarpsEntered = "warps_entered",
+    }
+}
+
+/// Emptied merged-request waiter lists an RT unit keeps for reuse, and the
+/// largest capacity it keeps one at. A chunk that a whole warp merged into
+/// grows a long list; keeping those would hold a high-water mark of memory
+/// for the rest of the run, so they are freed instead.
+const SPARE_WAITER_LISTS: usize = 8;
+const SPARE_WAITER_CAPACITY: usize = 8;
 
 /// Result of handing a chunk load to the memory port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -250,7 +290,7 @@ pub struct RtUnitAnalytics {
     /// Σ enqueue→retire latency over retired jobs, in cycles.
     pub latency_total: u64,
     /// Steps consumed so far by each in-flight job.
-    live: HashMap<u32, u64>,
+    live: FxHashMap<u32, u64>,
 }
 
 impl RtUnitAnalytics {
@@ -286,7 +326,7 @@ impl RtUnitAnalytics {
         let jobs = d.u64()?;
         let steps = d.u64()?;
         let latency_total = d.u64()?;
-        let mut live = HashMap::new();
+        let mut live = FxHashMap::default();
         for _ in 0..d.seq()? {
             let id = d.u32()?;
             live.insert(id, d.u64()?);
@@ -311,13 +351,13 @@ pub struct RtUnit {
     warps: Vec<WarpSlot>,
     mem_queue: VecDeque<QueuedReq>,
     // Chunk addresses already in the queue (for merging).
-    inflight: HashMap<u64, QueuedReq>,
+    inflight: FxHashMap<u64, QueuedReq>,
     ready_heap: BinaryHeap<Reverse<(u64, u64)>>, // (ready_at, key into ready_store)
-    ready_store: HashMap<u64, QueuedReq>,
+    ready_store: FxHashMap<u64, QueuedReq>,
     ready_seq: u64,
     last_warp: Option<u32>,
     arrivals: u64,
-    stats: Counters,
+    stats: RtCounters,
     warp_latency: Histogram,
     active_ray_cycles: u64,
     busy_cycles: u64,
@@ -328,6 +368,13 @@ pub struct RtUnit {
     events: Option<Vec<RtUnitEvent>>,
     // Per-job attribution, allocated only while rt analytics is enabled.
     analytics: Option<Box<RtUnitAnalytics>>,
+    // Emptied buffers kept for reuse, so steady-state admission and
+    // retirement do not allocate. They hold no state and are not saved.
+    // Lane and script arrays are bounded by the warp buffer, waiter lists
+    // by `SPARE_WAITER_LISTS`.
+    spare_lanes: Vec<Vec<Lane>>,
+    spare_scripts: Vec<Vec<Vec<Step>>>,
+    spare_waiters: Vec<Vec<(u32, usize)>>,
 }
 
 /// Snapshot of RT-unit statistics.
@@ -340,13 +387,13 @@ impl RtUnit {
             config,
             warps: Vec::new(),
             mem_queue: VecDeque::new(),
-            inflight: HashMap::new(),
+            inflight: FxHashMap::default(),
             ready_heap: BinaryHeap::new(),
-            ready_store: HashMap::new(),
+            ready_store: FxHashMap::default(),
             ready_seq: 0,
             last_warp: None,
             arrivals: 0,
-            stats: Counters::new(),
+            stats: RtCounters::new(),
             warp_latency: Histogram::new(1000.0),
             active_ray_cycles: 0,
             busy_cycles: 0,
@@ -355,7 +402,17 @@ impl RtUnit {
             sample_period: 256,
             events: None,
             analytics: None,
+            spare_lanes: Vec::new(),
+            spare_scripts: Vec::new(),
+            spare_waiters: Vec::new(),
         }
+    }
+
+    /// An empty per-lane script array for the next [`WarpJob`]: one whose
+    /// contents an earlier [`RtUnit::try_enqueue`] consumed, when there is
+    /// one, so building a job does not allocate the outer array.
+    pub fn spare_script_array(&mut self) -> Vec<Vec<Step>> {
+        self.spare_scripts.pop().unwrap_or_default()
     }
 
     /// Enables (or disables) timeline event recording. Off by default.
@@ -415,14 +472,15 @@ impl RtUnit {
 
     /// Attempts to admit a warp; returns `false` when the Warp Buffer is
     /// full (the SM must retry — the `traverseAS` issue stalls).
-    pub fn try_enqueue(&mut self, job: WarpJob, now: u64) -> bool {
+    pub fn try_enqueue(&mut self, mut job: WarpJob, now: u64) -> bool {
         if !self.has_capacity() {
-            self.stats.inc("warp_buffer_full");
+            self.stats.inc(RtCounter::WarpBufferFull);
             return false;
         }
         self.arrivals += 1;
-        self.stats.inc("warps_entered");
-        self.stats.add("rays_entered", job.active_lanes() as u64);
+        self.stats.inc(RtCounter::WarpsEntered);
+        self.stats
+            .add(RtCounter::RaysEntered, job.active_lanes() as u64);
         if let Some(buf) = self.events.as_mut() {
             buf.push(RtUnitEvent {
                 cycle: now,
@@ -433,9 +491,12 @@ impl RtUnit {
         if let Some(a) = self.analytics.as_mut() {
             a.on_enqueue(job.warp_id);
         }
+        let mut lanes = self.spare_lanes.pop().unwrap_or_default();
+        lanes.extend(job.scripts.drain(..).map(Lane::new));
+        self.spare_scripts.push(job.scripts);
         self.warps.push(WarpSlot {
             warp_id: job.warp_id,
-            lanes: job.scripts.into_iter().map(Lane::new).collect(),
+            lanes,
             entered_at: now,
             arrival: self.arrivals,
         });
@@ -451,7 +512,8 @@ impl RtUnit {
 
     fn finish_chunk(&mut self, req: QueuedReq, now: u64) {
         let cfg = self.config.clone();
-        for (warp_id, lane_idx) in req.waiters {
+        let mut waiters = req.waiters;
+        for &(warp_id, lane_idx) in &waiters {
             if let Some(w) = self.warps.iter_mut().find(|w| w.warp_id == warp_id) {
                 let lane = &mut w.lanes[lane_idx];
                 if lane.state != LaneState::WaitMem {
@@ -467,19 +529,35 @@ impl RtUnit {
                         OpKind::None => 1,
                     } as u64;
                     match lane.pending_op {
-                        OpKind::Box { tests } => self.stats.add("ops.box_tests", tests as u64),
-                        OpKind::Triangle => self.stats.inc("ops.triangle_tests"),
-                        OpKind::Transform => self.stats.inc("ops.transforms"),
+                        OpKind::Box { tests } => {
+                            self.stats.add(RtCounter::OpsBoxTests, tests as u64)
+                        }
+                        OpKind::Triangle => self.stats.inc(RtCounter::OpsTriangleTests),
+                        OpKind::Transform => self.stats.inc(RtCounter::OpsTransforms),
                         OpKind::None => {}
                     }
                     lane.state = LaneState::InOp(now + lat);
                 }
             }
         }
+        if self.spare_waiters.len() < SPARE_WAITER_LISTS
+            && waiters.capacity() <= SPARE_WAITER_CAPACITY
+        {
+            waiters.clear();
+            self.spare_waiters.push(waiters);
+        }
     }
 
     /// Advances one cycle; returns warps that completed this cycle.
     pub fn tick(&mut self, now: u64, mem: &mut dyn RtMem) -> Vec<WarpDone> {
+        let mut done = Vec::new();
+        self.tick_into(now, mem, &mut done);
+        done
+    }
+
+    /// [`RtUnit::tick`] that appends the completed warps to `done` (a
+    /// caller-owned buffer, so the cycle loop does not allocate).
+    pub fn tick_into(&mut self, now: u64, mem: &mut dyn RtMem, done: &mut Vec<WarpDone>) {
         // 0. Hit-latency completions that became ready.
         while let Some(&Reverse((at, key))) = self.ready_heap.peek() {
             if at > now {
@@ -524,22 +602,21 @@ impl RtUnit {
                     let key = self.ready_seq;
                     self.ready_store.insert(key, req);
                     self.ready_heap.push(Reverse((at.max(now + 1), key)));
-                    self.stats.inc("mem.issued");
+                    self.stats.inc(RtCounter::MemIssued);
                 }
                 RtMemResult::Pending { token } => {
                     let req = self.mem_queue.pop_front().expect("nonempty");
                     self.inflight.insert(token, req);
-                    self.stats.inc("mem.issued");
+                    self.stats.inc(RtCounter::MemIssued);
                 }
                 RtMemResult::Retry => {
-                    self.stats.inc("mem.retry");
+                    self.stats.inc(RtCounter::MemRetry);
                     break;
                 }
             }
         }
 
         // 4. Retire finished warps.
-        let mut done = Vec::new();
         let mut i = 0;
         while i < self.warps.len() {
             if self.warps[i]
@@ -547,10 +624,12 @@ impl RtUnit {
                 .iter()
                 .all(|l| l.state == LaneState::Done)
             {
-                let w = self.warps.remove(i);
+                let mut w = self.warps.remove(i);
+                w.lanes.clear();
+                self.spare_lanes.push(w.lanes);
                 let latency = now.saturating_sub(w.entered_at).max(1);
                 self.warp_latency.record(latency as f64);
-                self.stats.inc("warps_completed");
+                self.stats.inc(RtCounter::WarpsCompleted);
                 if let Some(buf) = self.events.as_mut() {
                     buf.push(RtUnitEvent {
                         cycle: now,
@@ -580,7 +659,6 @@ impl RtUnit {
             self.occupancy_trace
                 .push((now, self.warps.len() as u32, self.active_rays()));
         }
-        done
     }
 
     fn pick_warp(&self) -> Option<u32> {
@@ -617,44 +695,46 @@ impl RtUnit {
                 Some(Step::Store { addr, size }) => {
                     // Fire-and-forget store traffic (intersection buffer,
                     // stack spill); the lane advances after one cycle.
-                    for chunk in chunk_addresses(addr, size) {
+                    for chunk in chunks(addr, size) {
                         mem.store_chunk(chunk, now);
-                        self.stats.inc("mem.stores");
+                        self.stats.inc(RtCounter::MemStores);
                     }
                     let lane = &mut self.warps[w_idx].lanes[lane_idx];
                     lane.state = LaneState::InOp(now + 1);
                 }
                 Some(Step::Fetch { addr, size, op }) => {
-                    let chunks = chunk_addresses(addr, size);
+                    let lane_chunks = chunks(addr, size);
                     // Only commit the lane if every chunk fits in the queue
                     // (or merges with an existing entry). The queue is small
                     // (MSHR-sized), so a linear scan is fine.
-                    let new_needed = chunks
-                        .iter()
-                        .filter(|c| !self.mem_queue.iter().any(|r| r.addr == **c))
+                    let new_needed = lane_chunks
+                        .clone()
+                        .filter(|&c| !self.mem_queue.iter().any(|r| r.addr == c))
                         .count();
                     if self.mem_queue.len() + new_needed > self.config.mem_queue {
-                        self.stats.inc("mem.queue_full");
+                        self.stats.inc(RtCounter::MemQueueFull);
                         continue;
                     }
-                    for chunk in &chunks {
-                        match self.mem_queue.iter_mut().find(|r| r.addr == *chunk) {
+                    for chunk in lane_chunks.clone() {
+                        match self.mem_queue.iter_mut().find(|r| r.addr == chunk) {
                             Some(req) => {
                                 req.waiters.push((warp_id, lane_idx));
-                                self.stats.inc("mem.merged");
+                                self.stats.inc(RtCounter::MemMerged);
                             }
                             None => {
+                                let mut waiters = self.spare_waiters.pop().unwrap_or_default();
+                                waiters.push((warp_id, lane_idx));
                                 self.mem_queue.push_back(QueuedReq {
-                                    addr: *chunk,
-                                    waiters: vec![(warp_id, lane_idx)],
+                                    addr: chunk,
+                                    waiters,
                                 });
-                                self.stats.inc("mem.requests");
+                                self.stats.inc(RtCounter::MemRequests);
                             }
                         }
                     }
                     let lane = &mut self.warps[w_idx].lanes[lane_idx];
                     lane.state = LaneState::WaitMem;
-                    lane.outstanding_chunks = chunks.len() as u32;
+                    lane.outstanding_chunks = lane_chunks.count() as u32;
                     lane.pending_op = op;
                 }
                 None => {}
@@ -665,12 +745,18 @@ impl RtUnit {
     /// Snapshot of accumulated statistics.
     pub fn stats(&self) -> RtUnitStats {
         RtStatsBundle {
-            counters: self.stats.clone(),
+            counters: self.stats.to_counters(),
             warp_latency: self.warp_latency.clone(),
             active_ray_cycles: self.active_ray_cycles,
             busy_cycles: self.busy_cycles,
             resident_warp_cycles: self.resident_warp_cycles,
         }
+    }
+
+    /// The event counters, by slot (allocation-free; [`RtUnit::stats`]
+    /// names them).
+    pub fn counters(&self) -> &RtCounters {
+        &self.stats
     }
 
     /// Sampled `(cycle, resident warps, active rays)` occupancy timeline
@@ -794,7 +880,7 @@ impl RtUnit {
             rt.mem_queue.push_back(QueuedReq::load(d)?);
         }
         let ni = d.seq()?;
-        rt.inflight = HashMap::with_capacity(ni);
+        rt.inflight = FxHashMap::with_capacity_and_hasher(ni, Default::default());
         for _ in 0..ni {
             let token = d.u64()?;
             rt.inflight.insert(token, QueuedReq::load(d)?);
@@ -806,7 +892,7 @@ impl RtUnit {
             rt.ready_heap.push(Reverse((at, d.u64()?)));
         }
         let ns = d.seq()?;
-        rt.ready_store = HashMap::with_capacity(ns);
+        rt.ready_store = FxHashMap::with_capacity_and_hasher(ns, Default::default());
         for _ in 0..ns {
             let key = d.u64()?;
             rt.ready_store.insert(key, QueuedReq::load(d)?);
@@ -814,7 +900,7 @@ impl RtUnit {
         rt.ready_seq = d.u64()?;
         rt.last_warp = d.opt_u32()?;
         rt.arrivals = d.u64()?;
-        rt.stats = Counters::load(d)?;
+        rt.stats = RtCounters::load(d)?;
         rt.warp_latency = Histogram::load(d)?;
         rt.active_ray_cycles = d.u64()?;
         rt.busy_cycles = d.u64()?;

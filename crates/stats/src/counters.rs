@@ -29,12 +29,18 @@ impl Counters {
         Self::default()
     }
 
-    /// Adds `n` to counter `name`, creating it if needed.
+    /// Adds `n` to counter `name`, creating it if needed. Only creating a
+    /// counter allocates its name; incrementing an existing one does not.
     pub fn add(&mut self, name: &str, n: u64) {
         if n == 0 {
             return;
         }
-        *self.values.entry(name.to_owned()).or_insert(0) += n;
+        match self.values.get_mut(name) {
+            Some(v) => *v += n,
+            None => {
+                self.values.insert(name.to_owned(), n);
+            }
+        }
     }
 
     /// Increments counter `name` by one.

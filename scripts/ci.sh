@@ -68,6 +68,14 @@ cargo test --offline --workspace -q
 step "golden-counter regression suite (incl. threads=1 vs 4 equality)"
 cargo test --offline -q -p vksim-bench --test golden_counters
 
+# Allocation-budget gate: heap allocations per `Simulator::run` (EXT and
+# RTV6 at Test scale, one engine thread, observers off) are pinned
+# exactly — the maps hash with a fixed seed, so the count repeats — and
+# any allocation added to a per-cycle path fails here (see
+# tests/alloc_budget.rs and DESIGN.md, "Hot-path allocation discipline").
+step "allocation-budget gate (pinned allocations per run)"
+cargo test --offline -q -p vksim-bench --test alloc_budget
+
 # Fault-injection smoke: one drill per fault class (dropped completion,
 # stalled warp, worker panic on both engines, truncated program,
 # corrupted BVH) — each must end in a classified SimError with a

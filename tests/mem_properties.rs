@@ -5,7 +5,7 @@
 
 use vksim_mem::{
     partition_of, AccessKind, Dram, DramConfig, DramIssue, DramSched, MemRequest, MemSink,
-    RequestQueue, SharedMemSystem, SystemConfig, PARTITION_BYTES,
+    RequestQueue, SharedMemSystem, SysCounter, SystemConfig, PARTITION_BYTES,
 };
 use vksim_testkit::prop::{check, u32_in, u64_in, vec_of};
 use vksim_testkit::{prop_assert, prop_assert_eq};
@@ -150,7 +150,7 @@ fn bounded_ingress_occupancy_is_bounded_and_deadlock_free() {
         prop_assert_eq!(ids.len(), addrs.len(), "every load completed exactly once");
         // Acceptance counting: accepted offers == requests, and refusals
         // (if any) were counted separately rather than inflating traffic.
-        prop_assert_eq!(sys.stats.get("icnt.to_l2"), addrs.len() as u64);
+        prop_assert_eq!(sys.stats.get(SysCounter::IcntToL2), addrs.len() as u64);
         Ok(())
     });
 }
@@ -222,8 +222,12 @@ fn depth_one_ingress_refuses_concurrent_offers() {
     };
     assert!(sys.try_submit(req(1, 0), 0), "empty queue accepts");
     assert!(!sys.try_submit(req(2, 32), 0), "full queue refuses");
-    assert_eq!(sys.stats.get("icnt.refused"), 1);
-    assert_eq!(sys.stats.get("icnt.to_l2"), 1, "refusals are not traffic");
+    assert_eq!(sys.stats.get(SysCounter::IcntRefused), 1);
+    assert_eq!(
+        sys.stats.get(SysCounter::IcntToL2),
+        1,
+        "refusals are not traffic"
+    );
     // Drain the slot; the refused request must be accepted on re-offer.
     sys.advance_to(100_000);
     assert!(sys.try_submit(req(2, 32), 100_000), "freed queue accepts");
