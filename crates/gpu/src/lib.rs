@@ -26,7 +26,7 @@ pub mod simt;
 pub mod sm;
 
 pub use config::{DivergenceMode, GpuConfig};
-pub use gpu::{GpuFault, GpuSim, GpuStats, LaunchDims, RunOutcome};
+pub use gpu::{GpuFault, GpuSim, GpuStats, LaunchDims, RunOutcome, StateSection};
 pub use simt::{CtxOutcome, Mask, SimtEngine, FULL_MASK};
 pub use sm::{SmCounter, SmCounters, TickReport};
 pub use vksim_fault::{FaultPlan, HangClass, SimError, WorkerPanicSpec};

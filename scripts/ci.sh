@@ -68,6 +68,14 @@ cargo test --offline --workspace -q
 step "golden-counter regression suite (incl. threads=1 vs 4 equality)"
 cargo test --offline -q -p vksim-bench --test golden_counters
 
+# State-digest trail: FNV-1a-64 of the whole machine state at every
+# 1,000-cycle pause of RTV6 and TRI (Test scale) and of the first 20,000
+# cycles of RTV6 on the paper config, pinned in tests/goldens/
+# state_trail_*.txt; a mismatch names the first divergent pause and
+# state section (see tests/state_trail.rs).
+step "state-digest trail (machine state pinned every 1,000 cycles)"
+cargo test --offline -q -p vksim-bench --test state_trail
+
 # Allocation-budget gate: heap allocations per `Simulator::run` (EXT and
 # RTV6 at Test scale, one engine thread, observers off) are pinned
 # exactly — the maps hash with a fixed seed, so the count repeats — and
