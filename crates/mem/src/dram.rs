@@ -185,6 +185,8 @@ pub struct Dram {
     next_ticket: u64,
     /// Latest arrival cycle seen by [`Dram::submit`] (monotonicity check).
     last_arrival: u64,
+    /// Requests in the bank queues (derived from them; not saved).
+    queued: usize,
 }
 
 impl Dram {
@@ -219,6 +221,7 @@ impl Dram {
             row_activates: None,
             next_ticket: 0,
             last_arrival: 0,
+            queued: 0,
         }
     }
 
@@ -338,6 +341,7 @@ impl Dram {
                 row,
                 arrival: now,
             });
+        self.queued += 1;
         DramIssue::Queued(ticket)
     }
 
@@ -362,9 +366,7 @@ impl Dram {
 
     /// `true` while FR-FCFS requests are still queued (drain check).
     pub fn has_queued(&self) -> bool {
-        self.channels
-            .iter()
-            .any(|ch| ch.banks.iter().any(|b| !b.queue.is_empty()))
+        self.queued > 0
     }
 
     /// Finalizes every FR-FCFS scheduling decision whose service start is
@@ -462,6 +464,7 @@ impl Dram {
                     break;
                 }
                 self.channels[ch_idx].banks[bank_idx].queue.remove(pos);
+                self.queued -= 1;
                 let done = self.do_access(ch_idx, bank_idx, p.row, p.arrival);
                 out.push((p.ticket, done));
             }
@@ -541,6 +544,7 @@ impl Dram {
                 b.ready_at = d.u64()?;
                 let nq = d.seq()?;
                 b.queue = VecDeque::with_capacity(nq);
+                dram.queued += nq;
                 for _ in 0..nq {
                     b.queue.push_back(Pending {
                         ticket: d.u64()?,

@@ -672,6 +672,11 @@ impl SharedMemSystem {
                 ..
             } = self;
             let p = &mut parts[pi];
+            // Nothing due and nothing for the DRAM scheduler: the loop
+            // below would change nothing.
+            if !p.dram.has_queued() && p.events.peek().is_none_or(|e| e.0.time > cycle) {
+                continue;
+            }
             loop {
                 // Finalize FR-FCFS scheduling decisions up to the next
                 // event (or `cycle`); redeemed read tickets become

@@ -364,6 +364,8 @@ pub struct RtUnit {
     resident_warp_cycles: u64,
     occupancy_trace: Vec<(u64, u32, u32)>, // (cycle, warps, active rays) sampled
     sample_period: u64,
+    // See `RtUnit::quiet_until`. Derived by every tick; not saved.
+    quiet_until: u64,
     // Timeline event buffer, allocated only while tracing is enabled.
     events: Option<Vec<RtUnitEvent>>,
     // Per-job attribution, allocated only while rt analytics is enabled.
@@ -400,6 +402,7 @@ impl RtUnit {
             resident_warp_cycles: 0,
             occupancy_trace: Vec::new(),
             sample_period: 256,
+            quiet_until: 0,
             events: None,
             analytics: None,
             spare_lanes: Vec::new(),
@@ -500,6 +503,8 @@ impl RtUnit {
             entered_at: now,
             arrival: self.arrivals,
         });
+        // The new lanes are Ready: the next tick schedules them.
+        self.quiet_until = now + 1;
         true
     }
 
@@ -570,6 +575,7 @@ impl RtUnit {
         }
 
         // 1. Operation-unit completions.
+        let mut next_op = u64::MAX;
         for w in &mut self.warps {
             for lane in &mut w.lanes {
                 if let LaneState::InOp(done) = lane.state {
@@ -578,13 +584,16 @@ impl RtUnit {
                         if let Some(a) = self.analytics.as_mut() {
                             a.on_step(w.warp_id);
                         }
+                    } else {
+                        next_op = next_op.min(done);
                     }
                 }
             }
         }
 
         // 2. Warp scheduling: greedy-then-oldest.
-        if let Some(wid) = self.pick_warp() {
+        let picked = self.pick_warp();
+        if let Some(wid) = picked {
             self.last_warp = Some(wid);
             self.schedule_memory(wid, mem, now);
         }
@@ -649,6 +658,15 @@ impl RtUnit {
             }
         }
 
+        // No lane was Ready (no pick) and nothing is queued: until an
+        // operation finishes or a hit's data is ready, ticks only sample.
+        self.quiet_until = if picked.is_some() || !self.mem_queue.is_empty() {
+            now + 1
+        } else {
+            let ready = self.ready_heap.peek().map_or(u64::MAX, |r| r.0 .0);
+            next_op.min(ready)
+        };
+
         // 5. Statistics sampling.
         if !self.warps.is_empty() {
             self.busy_cycles += 1;
@@ -658,6 +676,42 @@ impl RtUnit {
         if now.is_multiple_of(self.sample_period) {
             self.occupancy_trace
                 .push((now, self.warps.len() as u32, self.active_rays()));
+        }
+    }
+
+    /// The first cycle after the last [`RtUnit::tick_into`] at which a tick
+    /// can change more than the per-cycle statistics, unless a memory
+    /// completion ([`RtUnit::on_mem_complete`]) or an admission
+    /// ([`RtUnit::try_enqueue`]) comes first: the next tick when a lane was
+    /// scheduled or requests are queued, otherwise the earliest operation
+    /// finish or cache-hit data (`u64::MAX` when neither is pending).
+    pub fn quiet_until(&self) -> u64 {
+        self.quiet_until
+    }
+
+    /// Adds the statistics of the ticks of cycles `from..=to`, skipped
+    /// while the unit was quiet (`to < quiet_until()`, and no completion or
+    /// admission since the last tick). Its state is the one those ticks
+    /// would have seen, so each would have added the same samples; this
+    /// adds them in bulk, occupancy-trace samples included.
+    pub fn account_quiet(&mut self, from: u64, to: u64) {
+        debug_assert!(
+            from <= to && to < self.quiet_until,
+            "cycles {from}..={to} are not quiet (quiet until {})",
+            self.quiet_until
+        );
+        let n = to + 1 - from;
+        let warps = self.warps.len() as u32;
+        let rays = self.active_rays();
+        if warps > 0 {
+            self.busy_cycles += n;
+            self.resident_warp_cycles += n * warps as u64;
+            self.active_ray_cycles += n * rays as u64;
+        }
+        let mut sample = from.next_multiple_of(self.sample_period);
+        while sample <= to {
+            self.occupancy_trace.push((sample, warps, rays));
+            sample += self.sample_period;
         }
     }
 
@@ -757,6 +811,18 @@ impl RtUnit {
     /// names them).
     pub fn counters(&self) -> &RtCounters {
         &self.stats
+    }
+
+    /// Cycles with at least one resident warp ([`RtUnit::stats`]'
+    /// `busy_cycles`, without building the bundle).
+    pub fn busy_cycles(&self) -> u64 {
+        self.busy_cycles
+    }
+
+    /// Resident-warp-cycles ([`RtUnit::stats`]' `resident_warp_cycles`,
+    /// without building the bundle).
+    pub fn resident_warp_cycles(&self) -> u64 {
+        self.resident_warp_cycles
     }
 
     /// Sampled `(cycle, resident warps, active rays)` occupancy timeline

@@ -20,7 +20,8 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use vksim_core::{RunReport, SimConfig, SimError, Simulator, WorkerPanicSpec};
+use vksim_core::{RtRuntime, RunReport, SimConfig, SimError, Simulator, WorkerPanicSpec};
+use vksim_gpu::{GpuSim, LaunchDims, RunOutcome};
 use vksim_scenes::{build, Scale, Workload, WorkloadKind};
 
 /// The golden-suite counter flattening: every integer-exact quantity the
@@ -257,6 +258,99 @@ fn rt_analytics_survive_resume_and_threads() {
         flats[0], flats[1],
         "threads=1 and threads=4 must serialize identical rt analytics"
     );
+}
+
+/// Sleeping SMs skip their ticks and add the skipped tallies later, so a
+/// cut taken while an SM sleeps must still see every tally up to the cut,
+/// and the resumed SM (which restores awake) must re-derive its sleep
+/// without moving a counter. RTV6 at Test scale, with cycle accounting and
+/// RT analytics on, is cut at two cycles inside its longest sleep
+/// stretches (checked below: both SMs asleep there). Each cut kills a
+/// checkpointed run shortly after it; the resume from the cut must match
+/// the uninterrupted run's counters, cycle-accounting profile and RT
+/// analytics byte for byte, and every checkpoint it rewrites must be
+/// byte-identical to the uninterrupted run's.
+#[test]
+fn kill_and_resume_across_sleep_is_bit_identical() {
+    const CUTS: [u64; 2] = [16_000, 17_000];
+    let w = build(WorkloadKind::Rtv6, Scale::Test);
+    let observed = || {
+        SimConfig::test_small()
+            .with_accounting(true)
+            .with_rt_analytics(true)
+    };
+
+    // The premise: both SMs sleep across each cut.
+    let mut gpu = GpuSim::new(observed().resolve());
+    gpu.mem = w.device.memory.clone();
+    let dims = w.cmd.dims;
+    gpu.launch(
+        w.cmd.program.clone(),
+        LaunchDims {
+            width: dims.width,
+            height: dims.height,
+            depth: dims.depth,
+        },
+    );
+    let mut rt = RtRuntime::new(
+        w.device.tlas.clone().expect("RTV6 has a TLAS"),
+        w.device.blases.clone(),
+        [dims.width, dims.height, dims.depth],
+        w.cmd.fcc,
+    );
+    for cut in CUTS {
+        let paused = gpu.run_until(&mut rt, cut).expect("healthy run");
+        assert!(matches!(paused, RunOutcome::Paused), "cut {cut} is mid-run");
+        assert_eq!(gpu.sleeping_sms(), 2, "both SMs sleep across cycle {cut}");
+    }
+
+    let plain = run_plain(observed(), &w);
+    let flats = |r: &RunReport| {
+        (
+            snapshot(r),
+            r.prof.as_ref().expect("accounting enabled").flat_json(),
+            r.rt.as_ref().expect("analytics enabled").flat_json(),
+        )
+    };
+    let want = flats(&plain);
+    let dir = ckpt_dir("sleep");
+    let cfg = || observed().with_checkpoint(1_000, dir.to_string_lossy().to_string());
+    assert_eq!(
+        want,
+        flats(&run_plain(cfg(), &w)),
+        "checkpointing moved a counter"
+    );
+    let originals: Vec<(u64, Vec<u8>)> = checkpoints_in(&dir)
+        .iter()
+        .map(|(c, p)| (*c, std::fs::read(p).expect("checkpoint readable")))
+        .collect();
+    for cut in CUTS {
+        let mut doomed = cfg();
+        doomed.gpu.fault_plan.worker_panic = Some(WorkerPanicSpec {
+            sm: 0,
+            cycle: cut + 400,
+        });
+        Simulator::new(doomed)
+            .run(&w.device, &w.cmd)
+            .expect_err("injected panic kills the run");
+        let resumed = Simulator::new(cfg())
+            .resume(&w.device, &w.cmd, &dir.join(format!("ckpt-{cut}.vksnap")))
+            .unwrap_or_else(|e| panic!("resume from cycle {cut} failed: {e}"));
+        assert_eq!(
+            want,
+            flats(&resumed),
+            "resume from cycle {cut} drifted from the uninterrupted run"
+        );
+        for (cycle, original) in &originals {
+            let now = std::fs::read(dir.join(format!("ckpt-{cycle}.vksnap")))
+                .expect("checkpoint readable");
+            assert!(
+                original == &now,
+                "checkpoint at cycle {cycle} differs after the resume from cycle {cut}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Fixed-seed chaos campaign: each iteration injects a worker panic at a
